@@ -10,7 +10,6 @@
 #include "bench/common.hpp"
 #include "emu/datasets.hpp"
 #include "predict/evaluate.hpp"
-#include "util/thread_pool.hpp"
 
 using namespace mmog;
 
@@ -24,10 +23,10 @@ int main() {
   const std::size_t start = util::kSamplesPerDay / 2;
 
   std::vector<std::vector<util::TimeSeries>> zone_series(sets.size());
-  util::parallel_for(sets.size(), [&](std::size_t i) {
+  for (std::size_t i = 0; i < sets.size(); ++i) {
     emu::Emulator emulator(emu::WorldConfig{}, sets[i]);
     zone_series[i] = emulator.run().zone_series();
-  });
+  }
 
   std::vector<std::string> names;
   std::map<std::string, std::vector<double>> errors;

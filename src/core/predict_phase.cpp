@@ -18,7 +18,6 @@ ParallelPredictor::ParallelPredictor(std::size_t threads) {
 /// Everything one dispatch needs, stack-owned by run(): the team passes a
 /// raw pointer to it, so the per-step fan-out allocates nothing.
 struct ParallelPredictor::RunContext {
-  ParallelPredictor* self;
   std::span<const PredictSlot> slots;
   obs::Recorder* rec;
 };
@@ -40,9 +39,8 @@ void ParallelPredictor::run_range(std::span<const PredictSlot> slots,
 void ParallelPredictor::shard_entry(void* ctx, std::size_t shard,
                                     std::size_t shards) {
   auto& run = *static_cast<RunContext*>(ctx);
-  // Identical partition arithmetic to the historical ThreadPool path: at
-  // most one contiguous chunk per worker, trailing workers idle when there
-  // are fewer slots than shards.
+  // At most one contiguous chunk per worker, trailing workers idle when
+  // there are fewer slots than shards.
   const std::size_t used = std::min(run.slots.size(), shards);
   const std::size_t chunk = (run.slots.size() + used - 1) / used;
   const std::size_t begin = shard * chunk;
@@ -50,10 +48,9 @@ void ParallelPredictor::shard_entry(void* ctx, std::size_t shard,
   if (begin >= end) return;
   const obs::Stopwatch watch;
   run_range(run.slots.subspan(begin, end - begin), run.rec);
-  const double us = watch.elapsed_us();
-  if (run.rec) run.rec->observe_us("phase.predict_shard_us", us);
-  util::MutexLock lock(run.self->mutex_);
-  run.self->worst_shard_us_ = std::max(run.self->worst_shard_us_, us);
+  if (run.rec) {
+    run.rec->observe_us("phase.predict_shard_us", watch.elapsed_us());
+  }
 }
 
 void ParallelPredictor::run(std::span<const PredictSlot> slots,
@@ -63,21 +60,12 @@ void ParallelPredictor::run(std::span<const PredictSlot> slots,
     run_range(slots, rec);
     return;
   }
-  {
-    util::MutexLock lock(mutex_);
-    worst_shard_us_ = 0.0;
-  }
-  RunContext ctx{this, slots, rec};
+  RunContext ctx{slots, rec};
   // The join inside run() is the determinism barrier: every slot is written
   // before the caller reads any prediction; a worker's exception is
   // rethrown here.
   team_->run(&ParallelPredictor::shard_entry, &ctx);
 }
 // mmog-lint: hot-end
-
-double ParallelPredictor::last_worst_shard_us() const {
-  util::MutexLock lock(mutex_);
-  return worst_shard_us_;
-}
 
 }  // namespace mmog::core

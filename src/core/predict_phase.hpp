@@ -6,9 +6,7 @@
 
 #include "obs/recorder.hpp"
 #include "predict/predictor.hpp"
-#include "util/mutex.hpp"
 #include "util/shard_team.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace mmog::core {
 
@@ -31,9 +29,8 @@ struct PredictSlot {
 /// does not depend on which thread executes it.
 ///
 /// The workers are a persistent util::ShardTeam, so the per-step dispatch
-/// performs zero heap allocations (the old ThreadPool::submit path paid a
-/// packaged task per shard per step). The same team is shared with the
-/// other sharded phases via team().
+/// performs zero heap allocations. The same team is shared with the other
+/// sharded phases via team().
 ///
 /// threads == 1 keeps everything on the calling thread with no team at all
 /// (exactly the historical serial code path); threads == 0 resolves to the
@@ -56,10 +53,6 @@ class ParallelPredictor {
   /// predictor are rethrown on the calling thread (first one wins).
   void run(std::span<const PredictSlot> slots, obs::Recorder* rec);
 
-  /// Wall time of the slowest shard in the most recent parallel run()
-  /// (microseconds; 0 after a serial run). Thread-safe.
-  double last_worst_shard_us() const;
-
  private:
   struct RunContext;
   static void shard_entry(void* ctx, std::size_t shard, std::size_t shards);
@@ -68,8 +61,6 @@ class ParallelPredictor {
 
   std::size_t threads_ = 1;
   std::unique_ptr<util::ShardTeam> team_;
-  mutable util::Mutex mutex_;
-  double worst_shard_us_ GUARDED_BY(mutex_) = 0.0;
 };
 
 }  // namespace mmog::core

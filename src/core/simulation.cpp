@@ -858,7 +858,7 @@ SimulationResult simulate(const SimulationConfig& config) {
   // Reused per-step scratch: the padded demand of every unit, the fault
   // flags of units that lost capacity this step, and the per-game metric
   // slots — all hoisted out of the loop so the step phases allocate
-  // nothing (see the hot-begin regions and the bench allocs/step gate).
+  // nothing (see the hot-begin regions and tests/core/alloc_gate_test).
   std::vector<util::ResourceVector> demands(units.size());
   std::vector<char> lost_capacity(units.size(), 0);
   std::vector<StepMetrics> per_game(config.games.size());

@@ -64,7 +64,7 @@ const std::vector<double>& count_buckets();
 ///
 /// Counter increments and histogram observations go to a thread-local shard
 /// (one per writer thread, created on first use), so instrumentation inside
-/// util::parallel_for sweeps never contends on a shared lock: each shard's
+/// util::ShardTeam workers never contends on a shared lock: each shard's
 /// mutex is only ever touched by its owner thread and by snapshot(), which
 /// merges all shards. Gauges are set-rarely values and live behind the
 /// registry mutex directly (last write wins, whole-registry order).

@@ -97,7 +97,8 @@ struct RuneScapeModelConfig {
   /// apportionment; every region keeps at least one group). The per-group
   /// statistical properties are untouched, so a scaled world is the same
   /// workload shape at a different fleet size — the knob behind
-  /// `mmog_bench --groups` and `mmog_tracegen --groups`.
+  /// `mmog_tracegen --groups`, perfbench's `fleet` workload and the
+  /// allocs/step gate's sweep cells.
   void scale_to_groups(std::size_t total_groups);
 
   /// Total server groups across all regions.

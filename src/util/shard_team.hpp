@@ -11,11 +11,11 @@
 
 namespace mmog::util {
 
-/// A persistent fork-join worker team for per-step sharded phases. Unlike
-/// ThreadPool::submit (which heap-allocates a packaged task per call),
-/// run() dispatches one raw function pointer + context to every worker and
-/// joins them without a single allocation — exactly what the hot simulation
-/// phases need to stay allocation-free under the bench allocs/step gate.
+/// A persistent fork-join worker team for per-step sharded phases, and the
+/// project's one thread primitive. run() dispatches one raw function
+/// pointer + context to every worker and joins them without a single
+/// allocation — exactly what the hot simulation phases need to stay
+/// allocation-free under the allocs/step gate (tests/core/alloc_gate_test).
 ///
 /// Determinism contract: run(task, ctx) invokes task(ctx, shard, shards)
 /// once for every shard in [0, threads()), each on its own thread (shard 0

@@ -97,7 +97,6 @@ TEST(ParallelPredictTest, ZeroThreadsResolvesToHardwareConcurrency) {
 TEST(ParallelPredictTest, EmptySlotListIsANoop) {
   ParallelPredictor runner(4);
   runner.run({}, nullptr);
-  EXPECT_DOUBLE_EQ(runner.last_worst_shard_us(), 0.0);
 }
 
 TEST(ParallelPredictTest, FewerSlotsThanThreadsStillFillsAll) {
@@ -130,7 +129,6 @@ TEST(ParallelPredictTest, RecorderTimesEveryInference) {
   // The parallel path also times each shard's wall clock.
   EXPECT_NE(snap.histograms.find("phase.predict_shard_us"),
             snap.histograms.end());
-  EXPECT_GE(runner.last_worst_shard_us(), 0.0);
 }
 
 TEST(ParallelPredictTest, SerialRecorderPathSkipsShardTimings) {
@@ -144,7 +142,6 @@ TEST(ParallelPredictTest, SerialRecorderPathSkipsShardTimings) {
   EXPECT_EQ(it->second.count, 25u);
   EXPECT_EQ(snap.histograms.find("phase.predict_shard_us"),
             snap.histograms.end());
-  EXPECT_DOUBLE_EQ(runner.last_worst_shard_us(), 0.0);
 }
 
 TEST(ParallelPredictTest, RunnerIsReusableAcrossSteps) {

@@ -6,8 +6,7 @@
 #include <cstddef>
 #include <string>
 #include <thread>
-
-#include "util/thread_pool.hpp"
+#include <vector>
 
 namespace mmog::obs {
 namespace {
@@ -31,38 +30,44 @@ TEST(RegistryTest, GaugesAreLastWriteWins) {
 }
 
 TEST(RegistryTest, MergeOnSnapshotCountsExactlyUnderContention) {
-  // The merge-on-snapshot contract: N increments from K pool workers are
-  // counted exactly, with each worker writing its own thread-local shard.
+  // The merge-on-snapshot contract: N increments from K writer threads are
+  // counted exactly, with each thread writing its own thread-local shard.
   Registry reg;
-  util::ThreadPool pool(4);
-  constexpr std::size_t kTasks = 64;
-  constexpr std::size_t kIncrements = 2000;
-  util::parallel_for(pool, kTasks, [&](std::size_t) {
-    for (std::size_t i = 0; i < kIncrements; ++i) {
-      reg.add("work.items");
-      reg.observe("work.duration_us", 1.0);
-    }
-  });
+  constexpr std::size_t kWriters = 4;
+  constexpr std::size_t kIncrements = 32000;
+  std::vector<std::thread> writers;
+  for (std::size_t w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&] {
+      for (std::size_t i = 0; i < kIncrements; ++i) {
+        reg.add("work.items");
+        reg.observe("work.duration_us", 1.0);
+      }
+    });
+  }
+  for (auto& writer : writers) writer.join();
   const auto snap = reg.snapshot();
   EXPECT_DOUBLE_EQ(snap.counters.at("work.items"),
-                   static_cast<double>(kTasks * kIncrements));
+                   static_cast<double>(kWriters * kIncrements));
   EXPECT_EQ(snap.histograms.at("work.duration_us").count,
-            kTasks * kIncrements);
+            kWriters * kIncrements);
 }
 
 TEST(RegistryTest, SnapshotIsSafeWhileWritersRun) {
   Registry reg;
-  util::ThreadPool pool(4);
   std::atomic<bool> stop{false};
-  auto fut = pool.submit([&] {
+  std::thread reader([&] {
     while (!stop.load()) reg.snapshot();
   });
-  util::parallel_for(pool, 32, [&](std::size_t) {
-    for (std::size_t i = 0; i < 500; ++i) reg.add("racing");
-  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 4; ++w) {
+    writers.emplace_back([&] {
+      for (std::size_t i = 0; i < 4000; ++i) reg.add("racing");
+    });
+  }
+  for (auto& writer : writers) writer.join();
   stop.store(true);
-  fut.get();
-  EXPECT_DOUBLE_EQ(reg.snapshot().counters.at("racing"), 32.0 * 500.0);
+  reader.join();
+  EXPECT_DOUBLE_EQ(reg.snapshot().counters.at("racing"), 4.0 * 4000.0);
 }
 
 TEST(RegistryTest, HistogramBucketBoundariesAreUpperInclusive) {

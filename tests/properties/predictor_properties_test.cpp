@@ -20,8 +20,14 @@
 namespace mmog::predict {
 namespace {
 
+// gtest lists a parameter that has no printer as its raw bytes, and CMake's
+// test discovery copies that listing into the ctest test names. A leading
+// std::string put its heap pointer there, so the names changed from build
+// to build (ASLR, binary path, allocation order). Holding the name inline
+// makes the leading bytes the name itself; the size stays 64 (libstdc++)
+// so the "64-byte object" text of the names stays too.
 struct PredictorCase {
-  std::string name;
+  char name[32];
   PredictorFactory factory;
 };
 
@@ -135,7 +141,9 @@ TEST_P(PredictorContract, BoundedErrorOnSlowSinusoid) {
 
 INSTANTIATE_TEST_SUITE_P(AllPredictors, PredictorContract,
                          ::testing::ValuesIn(all_predictors()),
-                         [](const auto& info) { return info.param.name; });
+                         [](const auto& info) {
+                           return std::string(info.param.name);
+                         });
 
 }  // namespace
 }  // namespace mmog::predict

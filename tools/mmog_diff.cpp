@@ -1,11 +1,10 @@
 // mmog-diff: regression verdict between two canonical run reports, two
-// decision-audit trails, two checkpoint files, or two scale-sweep bench
-// artifacts produced by mmog_simulate / mmog_chaos / mmog_bench.
+// decision-audit trails, or two checkpoint files produced by
+// mmog_simulate / mmog_chaos.
 //
 // Usage:
-//   mmog_diff A B [--kind report|audit|checkpoint|bench]
-//            [--timing-tolerance PCT] [--alloc-tolerance PCT]
-//            [--rss-tolerance PCT] [--quiet]
+//   mmog_diff A B [--kind report|audit|checkpoint]
+//            [--timing-tolerance PCT] [--quiet]
 //
 // Report mode (default; a ".jsonl" extension on both inputs selects audit
 // mode, and files beginning with the "mmog-ckpt" magic select checkpoint
@@ -26,16 +25,6 @@
 // usage error, exit 2), then compared field for field; differences are
 // reported with their full path, e.g. "unit[3].groups[2].state[17]".
 //
-// Bench mode (autodetected from the artifacts' "kind":"mmog-bench"
-// discriminator): both inputs are BENCH_scale.json files from mmog_bench.
-// Sweep cells pair by label ("g1000/t4"). Allocations per step are a
-// deterministic property of the code and the workload, so they are gated
-// hard against --alloc-tolerance (default 10 %, either direction).
-// Throughput/phase timings and peak RSS depend on the machine and are
-// compared only when --timing-tolerance / --rss-tolerance are given, and
-// only in the slower/bigger direction — two runs of the same build gate
-// clean by default. A differing machine fingerprint is noted.
-//
 // Exit status: 0 = no regression, 1 = regression (any outcome/config
 // difference, or timing/allocations beyond tolerance), 2 = usage or I/O
 // error. The verdict and the first differences are printed to stdout.
@@ -48,7 +37,6 @@
 #include <string_view>
 
 #include "ckpt/checkpoint.hpp"
-#include "obs/bench_report.hpp"
 #include "obs/report.hpp"
 #include "util/args.hpp"
 
@@ -150,34 +138,6 @@ int diff_checkpoint_files(const std::string& path_a,
   return finish(diff, "checkpoint", quiet);
 }
 
-int diff_bench_files(const std::string& path_a, const std::string& path_b,
-                     const obs::BenchDiffOptions& options, bool quiet) {
-  const auto base = obs::BenchReport::parse(slurp(path_a));
-  const auto cand = obs::BenchReport::parse(slurp(path_b));
-  const auto diff = obs::diff_bench(base, cand, options);
-  std::printf("bench sweeps: %zu vs %zu runs, %zu vs %zu micro\n",
-              base.runs.size(), cand.runs.size(), base.micro.size(),
-              cand.micro.size());
-  if (diff.regression()) {
-    std::printf("REGRESSION: bench %s\n",
-                !diff.outcome_identical ? "allocations/sweep drifted"
-                                        : "timing beyond tolerance");
-    print_notes(diff, quiet);
-    return 1;
-  }
-  std::printf("OK: bench within tolerance%s\n",
-              diff.notes.empty() ? "" : " (notes below)");
-  print_notes(diff, quiet);
-  return 0;
-}
-
-/// A bench artifact announces itself via its "kind" discriminator in the
-/// first bytes: {"schema":1,"kind":"mmog-bench",...}.
-bool looks_like_bench(const std::string& text) {
-  const auto pos = text.find("\"kind\":\"mmog-bench\"");
-  return pos != std::string::npos && pos < 64;
-}
-
 /// A checkpoint file starts with its magic on the first line; extensions
 /// are not distinctive enough (checkpoints are JSONL too).
 bool looks_like_checkpoint(const std::string& text) {
@@ -192,9 +152,8 @@ int main(int argc, char** argv) {
   const util::Args args(argc, argv);
   if (args.has("help") || args.positional().size() != 2) {
     std::printf(
-        "usage: %s A B [--kind report|audit|checkpoint|bench] "
-        "[--timing-tolerance PCT] [--alloc-tolerance PCT] "
-        "[--rss-tolerance PCT] [--quiet]\n",
+        "usage: %s A B [--kind report|audit|checkpoint] "
+        "[--timing-tolerance PCT] [--quiet]\n",
         args.program().c_str());
     return args.has("help") ? 0 : 2;
   }
@@ -207,8 +166,6 @@ int main(int argc, char** argv) {
       const std::string head_b = slurp(path_b);
       if (looks_like_checkpoint(head_a) && looks_like_checkpoint(head_b)) {
         kind = "checkpoint";
-      } else if (looks_like_bench(head_a) && looks_like_bench(head_b)) {
-        kind = "bench";
       } else {
         kind = ends_with(path_a, ".jsonl") && ends_with(path_b, ".jsonl")
                    ? "audit"
@@ -221,14 +178,6 @@ int main(int argc, char** argv) {
     }
     if (kind == "audit") {
       return diff_audit_files(path_a, path_b, quiet);
-    }
-    if (kind == "bench") {
-      obs::BenchDiffOptions options;
-      options.alloc_tolerance_pct = args.get_double("alloc-tolerance", 10.0);
-      options.timing_tolerance_pct =
-          args.get_double("timing-tolerance", -1.0);
-      options.rss_tolerance_pct = args.get_double("rss-tolerance", -1.0);
-      return diff_bench_files(path_a, path_b, options, quiet);
     }
     if (kind == "report") {
       return diff_report_files(path_a, path_b,

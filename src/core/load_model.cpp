@@ -18,12 +18,11 @@ std::string_view update_model_name(UpdateModel m) noexcept {
 
 double update_cost(UpdateModel m, double n) noexcept {
   if (n <= 0.0) return 0.0;
-  const double log_term = std::log2(n + 1.0);
   switch (m) {
     case UpdateModel::kLinear: return n;
-    case UpdateModel::kNLogN: return n * log_term;
+    case UpdateModel::kNLogN: return n * std::log2(n + 1.0);
     case UpdateModel::kQuadratic: return n * n;
-    case UpdateModel::kQuadraticLogN: return n * n * log_term;
+    case UpdateModel::kQuadraticLogN: return n * n * std::log2(n + 1.0);
     case UpdateModel::kCubic: return n * n * n;
   }
   return 0.0;

@@ -29,8 +29,10 @@ struct PredictSlot {
 /// does not depend on which thread executes it.
 ///
 /// The workers are a persistent util::ShardTeam, so the per-step dispatch
-/// performs zero heap allocations. The same team is shared with the other
-/// sharded phases via team().
+/// performs zero heap allocations. Predict is the only phase of the step
+/// that is sharded: padding, matching, fault injection, replacement and
+/// accounting run serially on the calling thread, where a team dispatch
+/// costs more than the work it would spread (DESIGN.md §10).
 ///
 /// threads == 1 keeps everything on the calling thread with no team at all
 /// (exactly the historical serial code path); threads == 0 resolves to the
@@ -41,11 +43,6 @@ class ParallelPredictor {
 
   /// The resolved worker count (>= 1).
   std::size_t threads() const noexcept { return threads_; }
-
-  /// The shared worker team (nullptr when threads() == 1): other per-step
-  /// phases shard their pure computation on the same threads instead of
-  /// spawning their own.
-  util::ShardTeam* team() noexcept { return team_.get(); }
 
   /// Predicts every slot. With a recorder, each prediction is timed into
   /// the "predictor.inference_us" histogram and each shard's wall time into

@@ -11,8 +11,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "util/shard_team.hpp"
-
 namespace mmog::core {
 namespace {
 
@@ -53,90 +51,6 @@ struct DemandUnit {
   fault::BackoffTracker backoff;
   int priority = 0;
 };
-
-/// Candidate-filter statuses precomputed for the match phase. Only the
-/// outage and latency-degradation verdicts live here: both are pure
-/// functions of (data center, step) through the immutable fault schedule,
-/// so workers can evaluate them in parallel with no ordering effects.
-/// Backoff is deliberately absent — shedding mutates *other* units'
-/// trackers mid-phase, so that check stays in the serial commit.
-constexpr std::uint8_t kCandViable = 0;
-constexpr std::uint8_t kCandOutage = 1;
-constexpr std::uint8_t kCandLatency = 2;
-
-struct CandidateFilterCtx {
-  const std::vector<DemandUnit>* units;
-  const fault::FaultSchedule* schedule;
-  const std::vector<std::size_t>* offsets;  ///< per-unit start into statuses
-  std::vector<std::uint8_t>* statuses;
-  std::size_t step;
-};
-
-// mmog-lint: hot-begin(match-filter)
-void candidate_filter_shard(void* opaque, std::size_t shard,
-                            std::size_t shards) {
-  auto& ctx = *static_cast<CandidateFilterCtx*>(opaque);
-  const auto& units = *ctx.units;
-  const std::size_t chunk = (units.size() + shards - 1) / shards;
-  const std::size_t begin = std::min(units.size(), shard * chunk);
-  const std::size_t end = std::min(units.size(), begin + chunk);
-  for (std::size_t u = begin; u < end; ++u) {
-    const DemandUnit& unit = units[u];
-    std::uint8_t* status = ctx.statuses->data() + (*ctx.offsets)[u];
-    for (std::size_t ci = 0; ci < unit.candidates.size(); ++ci) {
-      const std::size_t d = unit.candidates[ci];
-      std::uint8_t s = kCandViable;
-      if (ctx.schedule->outage_at(d, ctx.step)) {
-        s = kCandOutage;
-      } else {
-        const std::size_t penalty =
-            ctx.schedule->latency_penalty_at(d, ctx.step);
-        if (penalty != 0) {
-          const std::uint8_t base = unit.base_class_by_dc[d];
-          if (base == kNotACandidate ||
-              base + penalty > static_cast<std::size_t>(unit.tolerance)) {
-            s = kCandLatency;
-          }
-        }
-      }
-      status[ci] = s;
-    }
-  }
-}
-
-/// One server group's slice of the pad phase: inputs (prediction stream,
-/// load model) are fixed at setup; the per-step parallel pass rewrites only
-/// the output fields of its own shard's slots, and the serial reduction
-/// reads them back in fixed group order — the same add sequence as the
-/// historical serial loop, hence bit-identical at any thread count.
-struct PadSlot {
-  const GroupStream* stream = nullptr;
-  const LoadModel* load = nullptr;
-  util::ResourceVector demand{};  ///< load demand of the padded prediction
-  util::ResourceVector raw{};     ///< load demand of the raw prediction
-};
-
-struct PadCtx {
-  PadSlot* slots;
-  std::size_t count;
-  double safety_factor;
-  bool want_raw;  ///< raw demand is only consumed by the audit margin
-};
-
-void pad_shard(void* opaque, std::size_t shard, std::size_t shards) {
-  auto& ctx = *static_cast<PadCtx*>(opaque);
-  const std::size_t chunk = (ctx.count + shards - 1) / shards;
-  const std::size_t begin = std::min(ctx.count, shard * chunk);
-  const std::size_t end = std::min(ctx.count, begin + chunk);
-  for (std::size_t i = begin; i < end; ++i) {
-    PadSlot& slot = ctx.slots[i];
-    const double padded = slot.stream->last_prediction +
-                          ctx.safety_factor * slot.stream->abs_error_ewma;
-    slot.demand = slot.load->demand(padded);
-    if (ctx.want_raw) slot.raw = slot.load->demand(slot.stream->last_prediction);
-  }
-}
-// mmog-lint: hot-end
 
 /// Up-front configuration validation: every inconsistency fails loudly
 /// here instead of silently no-opting deep in the run.
@@ -282,18 +196,6 @@ SimulationResult simulate(const SimulationConfig& config) {
   for (const auto& unit : units) pool_hint += unit.candidates.size() * 4;
   AllocPool alloc_pool(pool_hint);
 
-  // Flat per-(unit, candidate-position) viability statuses for the match
-  // phase, written by the parallel candidate filter and read by the serial
-  // commit. Only needed when faults can reject candidates at all.
-  std::vector<std::size_t> cand_offset(units.size() + 1, 0);
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    cand_offset[u + 1] = cand_offset[u] + units[u].candidates.size();
-  }
-  std::vector<std::uint8_t> cand_status;
-  if (have_faults && config.mode == AllocationMode::kDynamic) {
-    cand_status.resize(cand_offset.back(), kCandViable);
-  }
-
   if (rec) {
     rec->gauge("sim.steps", static_cast<double>(steps));
     rec->gauge("sim.units", static_cast<double>(units.size()));
@@ -318,12 +220,12 @@ SimulationResult simulate(const SimulationConfig& config) {
   }
 
   // Predict-phase scheduler: a flat, service-ordered view of every group
-  // stream, sharded contiguously across `config.threads` workers. Each
-  // worker writes only its own slots' `last_prediction`; the pad phase
-  // below reduces them serially in fixed index order, so any thread count
-  // reproduces the serial run bit for bit. Pointers stay valid because
-  // `units` and each `unit.groups` are fully built above and never resized
-  // again.
+  // stream, sharded contiguously across `config.threads` workers. Predict
+  // is the only sharded phase: each worker writes only its own slots'
+  // `last_prediction`, and everything after it runs serially on this
+  // thread in fixed order, so any thread count reproduces the serial run
+  // bit for bit. Pointers stay valid because `units` and each
+  // `unit.groups` are fully built above and never resized again.
   ParallelPredictor predict_runner(
       config.mode == AllocationMode::kDynamic ? config.threads : 1);
   std::vector<PredictSlot> predict_slots;
@@ -336,26 +238,6 @@ SimulationResult simulate(const SimulationConfig& config) {
       }
     }
   }
-  // Pad-phase scheduler: the same flat service-ordered view, one slot per
-  // group stream. Workers fill only the output fields of their own shard's
-  // slots; the serial per-unit reduction below reads them in fixed group
-  // order, so padding too is bit-identical at any thread count.
-  std::vector<PadSlot> pad_slots;
-  if (config.mode == AllocationMode::kDynamic) {
-    pad_slots.reserve(total_groups);
-    for (const std::size_t idx : order) {
-      const auto& load = config.games[units[idx].game_id].load;
-      for (auto& stream : units[idx].groups) {
-        PadSlot slot;
-        slot.stream = &stream;
-        slot.load = &load;
-        pad_slots.push_back(slot);
-      }
-    }
-  }
-  // One persistent worker team serves every sharded phase (predict, pad,
-  // match filter); nullptr means threads == 1 and the shards run inline.
-  util::ShardTeam* const team = predict_runner.team();
   if (rec) {
     rec->gauge("sim.predict_threads",
                static_cast<double>(predict_runner.threads()));
@@ -410,18 +292,14 @@ SimulationResult simulate(const SimulationConfig& config) {
   if (audit) audit_batch.reserve(units.size() * 2);
 
   // `ar` collects one AuditOffer per visited candidate (nullptr = audit
-  // off: the walk pays one pointer test per branch). `filter`, when given,
-  // is the unit's precomputed outage/latency statuses (one per candidate
-  // position, from candidate_filter_shard); nullptr re-evaluates them
-  // inline — both paths compute the same pure predicates.
+  // off: the walk pays one pointer test per branch).
   // mmog-lint: hot-begin(allocate)
   auto try_allocate = [&](DemandUnit& unit, const util::ResourceVector& need_in,
                           std::size_t step, std::size_t hold_steps,
-                          obs::AuditRecord* ar, const std::uint8_t* filter) {
+                          obs::AuditRecord* ar) {
     util::ResourceVector need = need_in.clamped_non_negative();
     if (ar) ar->offers.reserve(unit.candidates.size());
-    for (std::size_t ci = 0; ci < unit.candidates.size(); ++ci) {
-      const std::size_t cand = unit.candidates[ci];
+    for (const std::size_t cand : unit.candidates) {
       // Satisfied: stop the walk before touching another candidate. This
       // check used to sit *after* the rejection branches, so a request
       // whose need was already met kept visiting the remaining candidates
@@ -431,16 +309,7 @@ SimulationResult simulate(const SimulationConfig& config) {
       for (double v : need.v) outstanding += v;
       if (outstanding <= 1e-9) break;
       const auto dc32 = static_cast<std::uint32_t>(cand);
-      bool outage;
-      bool latency;
-      if (filter != nullptr) {
-        outage = filter[ci] == kCandOutage;
-        latency = filter[ci] == kCandLatency;
-      } else {
-        outage = have_faults && schedule.outage_at(cand, step);
-        latency = !outage && have_faults && latency_violated(unit, cand, step);
-      }
-      if (outage) {
+      if (have_faults && schedule.outage_at(cand, step)) {
         if (rec) rec->count("offer.rejected.outage");
         if (ar) {
           ar->offers.push_back(
@@ -448,7 +317,7 @@ SimulationResult simulate(const SimulationConfig& config) {
         }
         continue;
       }
-      if (latency) {
+      if (latency_violated(unit, cand, step)) {
         // Matching criterion 2 re-evaluated under degradation: the center
         // is temporarily too far for this game.
         if (rec) rec->count("offer.rejected.latency_degraded");
@@ -765,7 +634,7 @@ SimulationResult simulate(const SimulationConfig& config) {
       const auto unmet =
           try_allocate(unit, full_servers, 0,
                        std::numeric_limits<std::size_t>::max(),
-                       audit ? &ar : nullptr, nullptr);
+                       audit ? &ar : nullptr);
       result.unplaced_cpu_unit_steps +=
           unmet.cpu() * static_cast<double>(steps);
       if (audit) {
@@ -925,26 +794,14 @@ SimulationResult simulate(const SimulationConfig& config) {
         // predictor's own recent error (the §V-C over-allocation mechanism).
         // mmog-lint: hot-begin(pad)
         const obs::PhaseScope scope(rec, "pad", t);
-        // Sharded demand computation: each worker evaluates the load model
-        // for its own slots (the expensive part); the reduction below adds
-        // them back per unit in fixed group order — the exact add sequence
-        // of the historical serial loop.
-        PadCtx pad_ctx{pad_slots.data(), pad_slots.size(),
-                       config.safety_factor, audit != nullptr};
-        if (team != nullptr) {
-          team->run(pad_shard, &pad_ctx);
-        } else {
-          pad_shard(&pad_ctx, 0, 1);
-        }
-        std::size_t slot_cursor = 0;
         for (std::size_t idx : order) {
           DemandUnit& unit = units[idx];
           const auto& load = config.games[unit.game_id].load;
           util::ResourceVector demand{};
-          const PadSlot* const unit_slots = pad_slots.data() + slot_cursor;
-          slot_cursor += unit.groups.size();
-          for (std::size_t g = 0; g < unit.groups.size(); ++g) {
-            demand += unit_slots[g].demand;
+          for (const auto& stream : unit.groups) {
+            const double padded = stream.last_prediction +
+                                  config.safety_factor * stream.abs_error_ewma;
+            demand += load.demand(padded);
           }
           if (resilient && res_policy.standby_reserve_servers > 0.0) {
             // N+k standby reserve: hold spare full servers so losing up to
@@ -959,9 +816,9 @@ SimulationResult simulate(const SimulationConfig& config) {
             // N+k standby reserve when enabled.
             double predicted = 0.0;
             util::ResourceVector raw{};
-            for (std::size_t g = 0; g < unit.groups.size(); ++g) {
-              predicted += unit.groups[g].last_prediction;
-              raw += unit_slots[g].raw;
+            for (const auto& stream : unit.groups) {
+              predicted += stream.last_prediction;
+              raw += load.demand(stream.last_prediction);
             }
             audit_predicted[idx] = predicted;
             audit_margin[idx] = demand.cpu() - raw.cpu();
@@ -980,30 +837,16 @@ SimulationResult simulate(const SimulationConfig& config) {
 
       {
         // Phase 3 — matching: release what the prediction no longer needs,
-        // then acquire the missing difference (§II-C request-offer matching).
-        // The phase splits in two: a sharded candidate filter (pure
-        // per-(unit, center) fault verdicts, parallel across the team) and
-        // the serial fixed-order commit below it, timed separately as
-        // "match_commit" so the profiler shows how much of the phase is
-        // inherently serial.
+        // then acquire the missing difference (§II-C request-offer matching),
+        // one serial walk in service order. "match" and "match_commit" time
+        // the same loop; both scopes stay because the allocs/step gate and
+        // perfbench read each of them.
         // mmog-lint: hot-begin(match)
         const obs::PhaseScope scope(rec, "match", t);
-        if (!cand_status.empty()) {
-          CandidateFilterCtx filter_ctx{&units, &schedule, &cand_offset,
-                                        &cand_status, t};
-          if (team != nullptr) {
-            team->run(candidate_filter_shard, &filter_ctx);
-          } else {
-            candidate_filter_shard(&filter_ctx, 0, 1);
-          }
-        }
         const obs::PhaseScope commit_scope(rec, "match_commit", t);
         for (std::size_t idx : order) {
           DemandUnit& unit = units[idx];
           const auto& demand = demands[idx];
-          const std::uint8_t* const filter =
-              cand_status.empty() ? nullptr
-                                  : cand_status.data() + cand_offset[idx];
           // The conservation invariant must have survived every mutation
           // since the last commit (grants, evictions, shedding).
           assert(unit.allocated == alloc_pool.sum_amounts(unit.allocs));
@@ -1076,15 +919,13 @@ SimulationResult simulate(const SimulationConfig& config) {
             if (audit) {
               ar.requested_cpu = need.clamped_non_negative().cpu();
             }
-            auto unmet =
-                try_allocate(unit, need, t, 1, audit ? &ar : nullptr, filter);
+            auto unmet = try_allocate(unit, need, t, 1, audit ? &ar : nullptr);
             if (unmet.cpu() > 1e-9 && resilient &&
                 res_policy.shed_low_priority) {
               // Total supply cannot cover demand: degrade lower-priority
               // games to keep this one whole.
               if (shed_for(unit, unmet, t)) {
-                unmet = try_allocate(unit, unmet, t, 1,
-                                     audit ? &ar : nullptr, filter);
+                unmet = try_allocate(unit, unmet, t, 1, audit ? &ar : nullptr);
               }
             }
             if (audit) ar.unmet_cpu = unmet.cpu();
@@ -1183,17 +1024,11 @@ SimulationResult simulate(const SimulationConfig& config) {
             ar.requested_cpu =
                 (demand - unit.allocated).clamped_non_negative().cpu();
           }
-          // The step's filter statuses stay valid here: they are pure in
-          // (center, step) and the fault walk does not touch the schedule.
-          const std::uint8_t* const filter =
-              cand_status.empty() ? nullptr
-                                  : cand_status.data() + cand_offset[idx];
           auto unmet = try_allocate(unit, demand - unit.allocated, t, 1,
-                                    audit ? &ar : nullptr, filter);
+                                    audit ? &ar : nullptr);
           if (unmet.cpu() > 1e-9 && res_policy.shed_low_priority) {
             if (shed_for(unit, unmet, t)) {
-              unmet = try_allocate(unit, unmet, t, 1, audit ? &ar : nullptr,
-                                   filter);
+              unmet = try_allocate(unit, unmet, t, 1, audit ? &ar : nullptr);
             }
           }
           if (unmet.cpu() <= 1e-9) {

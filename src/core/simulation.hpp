@@ -75,11 +75,12 @@ struct SimulationConfig {
   /// Worker threads for the per-step predict phase (§IV-B predicts every
   /// sub-zone independently, which makes the phase embarrassingly parallel
   /// and, per Fig. 6, the scaling bottleneck of the provisioning loop).
-  /// 1 (the default) keeps the historical serial code path with no thread
-  /// pool at all; 0 resolves to the hardware concurrency. Results are
-  /// bit-identical for every thread count: workers write disjoint
-  /// preallocated slots and the demand reduction stays serial in fixed
-  /// index order.
+  /// Only predict is sharded; padding, matching and every later phase run
+  /// serially on the calling thread. 1 (the default) keeps the historical
+  /// serial code path with no thread pool at all; 0 resolves to the
+  /// hardware concurrency. Results are bit-identical for every thread
+  /// count: workers write disjoint preallocated slots and the demand
+  /// reduction stays serial in fixed index order.
   std::size_t threads = 1;
   /// Serve games in priority order within each step (extension; off
   /// reproduces the paper's first-come matching).

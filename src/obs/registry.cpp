@@ -1,12 +1,14 @@
 #include "obs/registry.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "util/csv.hpp"
 
@@ -75,6 +77,9 @@ std::string json_number(double v) {
 }  // namespace
 
 struct Registry::Shard {
+  explicit Shard(std::thread::id writer) : owner(writer) {}
+
+  const std::thread::id owner;  ///< the one thread that writes this shard
   util::Mutex mutex;  ///< owner thread + snapshot() only: effectively free
   std::unordered_map<std::string, double, StringHash, std::equal_to<>>
       counters GUARDED_BY(mutex);
@@ -136,14 +141,33 @@ Registry::Registry()
 Registry::~Registry() = default;
 
 Registry::Shard& Registry::local_shard() const {
-  // Keyed by the process-unique registry id (never an address, which could
-  // be reused), so a stale entry from a destroyed registry is never hit.
-  thread_local std::unordered_map<std::uint64_t, Shard*> cache;
-  if (const auto it = cache.find(id_); it != cache.end()) return *it->second;
+  // A fixed, direct-mapped per-thread cache keyed by the process-unique
+  // registry id (never an address, which could be reused): an entry left by
+  // a destroyed registry is never hit, only overwritten, and the cache
+  // never allocates. The registry itself owns the thread -> shard lookup
+  // (`shards_`, searched by owner) and frees it on destruction.
+  struct CacheEntry {
+    std::uint64_t id = 0;  // registry ids start at 1
+    Shard* shard = nullptr;
+  };
+  constexpr std::size_t kCacheSlots = 8;
+  thread_local std::array<CacheEntry, kCacheSlots> cache{};
+  CacheEntry& entry = cache[id_ % kCacheSlots];
+  if (entry.id == id_) return *entry.shard;
+  const std::thread::id self = std::this_thread::get_id();
   util::MutexLock lock(mutex_);
-  shards_.push_back(std::make_unique<Shard>());
-  Shard* shard = shards_.back().get();
-  cache.emplace(id_, shard);
+  Shard* shard = nullptr;
+  for (const auto& s : shards_) {
+    if (s->owner == self) {
+      shard = s.get();
+      break;
+    }
+  }
+  if (shard == nullptr) {
+    shards_.push_back(std::make_unique<Shard>(self));
+    shard = shards_.back().get();
+  }
+  entry = {id_, shard};
   return *shard;
 }
 

@@ -62,12 +62,15 @@ const std::vector<double>& count_buckets();
 
 /// Named counters, gauges and fixed-bucket histograms.
 ///
-/// Counter increments and histogram observations go to a thread-local shard
-/// (one per writer thread, created on first use), so instrumentation inside
-/// util::ShardTeam workers never contends on a shared lock: each shard's
-/// mutex is only ever touched by its owner thread and by snapshot(), which
-/// merges all shards. Gauges are set-rarely values and live behind the
-/// registry mutex directly (last write wins, whole-registry order).
+/// Counter increments and histogram observations go to a per-thread shard
+/// (one per writer thread, created on first use and owned by the registry),
+/// so instrumentation inside util::ShardTeam workers never contends on a
+/// shared lock: each shard's mutex is only ever touched by its owner thread
+/// and by snapshot(), which merges all shards. A small fixed per-thread
+/// cache finds the shard without the registry mutex; destroying a registry
+/// frees every shard it created. Gauges are set-rarely values and live
+/// behind the registry mutex directly (last write wins, whole-registry
+/// order).
 class Registry {
  public:
   Registry();
@@ -109,7 +112,7 @@ class Registry {
   void observe_with_default(std::string_view histogram, double value,
                             const std::vector<double>& default_bounds);
 
-  const std::uint64_t id_;  ///< process-unique, keys the thread-local cache
+  const std::uint64_t id_;  ///< process-unique, keys the per-thread cache
   mutable util::Mutex mutex_;
   mutable std::vector<std::unique_ptr<Shard>> shards_ GUARDED_BY(mutex_);
   std::map<std::string, std::shared_ptr<const std::vector<double>>,

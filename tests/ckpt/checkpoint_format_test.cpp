@@ -7,6 +7,7 @@
 #include <string>
 
 #include "ckpt/checkpoint.hpp"
+#include "support/test_dir.hpp"
 
 // The on-disk checkpoint contract: byte-stable serialization, validation
 // that rejects every way a file can be damaged (never a partial load), the
@@ -137,15 +138,6 @@ std::string write_file(const fs::path& path, const std::string& text) {
   return path.string();
 }
 
-fs::path test_dir() {
-  const auto* info = testing::UnitTest::GetInstance()->current_test_info();
-  auto dir = fs::path(testing::TempDir()) /
-             (std::string("mmog_ckpt_") + info->name());
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
 TEST(CheckpointFormat, SaveLoadSaveByteIdentical) {
   const auto file = sample_file();
   const auto text = ckpt::to_jsonl(file);
@@ -216,7 +208,7 @@ TEST(CheckpointFormat, RejectsMissingSection) {
 }
 
 TEST(CheckpointWrite, KeepsPreviousGeneration) {
-  const auto dir = test_dir();
+  const test::TestDir dir;
   const auto path = (dir / "run.ckpt").string();
 
   auto first = sample_file();
@@ -238,7 +230,7 @@ TEST(CheckpointWrite, KeepsPreviousGeneration) {
 }
 
 TEST(CheckpointLoad, FallsBackToPrevWhenNewestCorrupt) {
-  const auto dir = test_dir();
+  const test::TestDir dir;
   const auto path = (dir / "run.ckpt").string();
 
   auto older = sample_file();
@@ -254,7 +246,7 @@ TEST(CheckpointLoad, FallsBackToPrevWhenNewestCorrupt) {
 }
 
 TEST(CheckpointLoad, ThrowsWhenNoCandidateValid) {
-  const auto dir = test_dir();
+  const test::TestDir dir;
   const auto path = (dir / "run.ckpt").string();
   write_file(path, "garbage\n");
   write_file(path + ".prev", "also garbage\n");

@@ -22,7 +22,8 @@ trace::WorldTrace sine_workload(std::size_t groups, std::size_t steps,
   region.name = "Europe";
   for (std::size_t g = 0; g < groups; ++g) {
     trace::ServerGroupTrace group;
-    group.name = "G" + std::to_string(g);
+    group.name = "G";
+    group.name += std::to_string(g);
     group.players = util::TimeSeries(util::kSampleStepSeconds);
     for (std::size_t t = 0; t < steps; ++t) {
       const double phase = 2.0 * std::numbers::pi *

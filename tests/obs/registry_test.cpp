@@ -4,9 +4,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/alloccount.hpp"
 
 namespace mmog::obs {
 namespace {
@@ -166,6 +169,55 @@ TEST(RegistryTest, DistinctRegistriesAreIndependent) {
   b.add("x", 5.0);
   EXPECT_DOUBLE_EQ(a.snapshot().counters.at("x"), 1.0);
   EXPECT_DOUBLE_EQ(b.snapshot().counters.at("x"), 5.0);
+}
+
+TEST(RegistryTest, DestroyedRegistriesLeaveNoPerThreadState) {
+  // A long-lived thread that writes to many short-lived registries must not
+  // keep anything per registry: every allocation a registry's lifetime made
+  // is freed when it dies.
+  const auto churn = [](int registries) {
+    for (int i = 0; i < registries; ++i) {
+      Registry reg;
+      reg.add("requests");
+      reg.observe("latency_us", 3.0);
+    }
+  };
+  churn(1);  // warm-up: the default bucket bounds are a lazy static
+  util::alloccount::Totals delta;
+  {
+    const util::alloccount::Scope counting;
+    const auto before = util::alloccount::totals();
+    churn(1000);
+    delta = util::alloccount::totals() - before;
+  }
+  EXPECT_GT(delta.allocs, 0u);
+  EXPECT_EQ(delta.frees, delta.allocs);
+}
+
+TEST(RegistryTest, RegistriesSharingACacheSlotReuseTheirShards) {
+  // Nine registries created back to back: the first and the last map to
+  // the same slot of the per-thread cache, so alternating between them
+  // misses every time and must find the existing shard, not add one.
+  std::vector<std::unique_ptr<Registry>> regs;
+  for (int i = 0; i < 9; ++i) {
+    regs.push_back(std::make_unique<Registry>());
+    regs.back()->add("x");
+  }
+  Registry& first = *regs.front();
+  Registry& last = *regs.back();
+  util::alloccount::Totals delta;
+  {
+    const util::alloccount::Scope counting;
+    const auto before = util::alloccount::totals();
+    for (int i = 0; i < 1000; ++i) {
+      first.add("x");
+      last.add("x", 2.0);
+    }
+    delta = util::alloccount::totals() - before;
+  }
+  EXPECT_EQ(delta.allocs, 0u);
+  EXPECT_DOUBLE_EQ(first.snapshot().counters.at("x"), 1001.0);
+  EXPECT_DOUBLE_EQ(last.snapshot().counters.at("x"), 2001.0);
 }
 
 }  // namespace

@@ -2,11 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+
+#include "support/test_dir.hpp"
 
 namespace mmog::obs {
 namespace {
@@ -119,11 +120,6 @@ TEST(TracerTest, NowIsMonotonicNonNegative) {
 
 class TempTracePath {
  public:
-  TempTracePath() {
-    path_ = ::testing::TempDir() + "mmog_trace_guard_test.jsonl";
-    std::remove(path_.c_str());
-  }
-  ~TempTracePath() { std::remove(path_.c_str()); }
   const std::string& path() const { return path_; }
   std::string contents() const {
     std::ifstream in(path_);
@@ -133,7 +129,8 @@ class TempTracePath {
   }
 
  private:
-  std::string path_;
+  const test::TestDir dir_;
+  const std::string path_ = (dir_ / "trace.jsonl").string();
 };
 
 TEST(TraceFileGuardTest, FlushWritesOnceAndDisarmsDestructor) {

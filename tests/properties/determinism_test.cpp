@@ -337,10 +337,10 @@ TEST(ParallelDeterminismTest, RunReportOutcomeIsThreadAgnostic) {
 }
 
 TEST(ParallelDeterminismTest, FaultedResilientRunIsThreadAgnostic) {
-  // The match/replace phases shard their candidate filter (outage + latency
-  // status per unit x center) across the worker team. Statuses are pure in
-  // (center, step), workers write disjoint slots, and the commit loop stays
-  // serial — so a faulted, resilient run must serialize identically at any
+  // Only predict is sharded; the match/replace walks judge each
+  // candidate's outage and latency-degradation verdict inline and serially.
+  // Verdicts are pure in (center, step) and the walks run in fixed service
+  // order — so a faulted, resilient run must serialize identically at any
   // thread count, audit trail included.
   auto faulted = [](std::size_t threads) {
     auto cfg = parallel_config(threads);

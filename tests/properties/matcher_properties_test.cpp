@@ -85,8 +85,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values("Europe", "US East Coast",
                                          "Australia")),
     [](const auto& info) {
-      std::string name = "T" + std::to_string(static_cast<int>(
-                                   std::get<0>(info.param)));
+      std::string name = "T";
+      name += std::to_string(static_cast<int>(std::get<0>(info.param)));
       for (char c : std::string(std::get<1>(info.param))) {
         if (std::isalnum(static_cast<unsigned char>(c))) name += c;
       }

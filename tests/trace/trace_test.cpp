@@ -11,7 +11,8 @@ WorldTrace make_world() {
   region.name = "Europe";
   for (int g = 0; g < 2; ++g) {
     ServerGroupTrace group;
-    group.name = "G" + std::to_string(g);
+    group.name = "G";
+    group.name += std::to_string(g);
     group.players = util::TimeSeries(120.0, {100.0 * (g + 1), 200.0 * (g + 1)});
     region.groups.push_back(std::move(group));
   }

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <string>
 
+#include "support/test_dir.hpp"
 #include "util/atomic_file.hpp"
 
 namespace mmog::util {
@@ -19,17 +20,8 @@ std::string slurp(const fs::path& path) {
   return text;
 }
 
-fs::path test_dir() {
-  const auto* info = testing::UnitTest::GetInstance()->current_test_info();
-  auto dir = fs::path(testing::TempDir()) /
-             (std::string("mmog_atomic_") + info->name());
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
 TEST(AtomicFileWriter, CommitPublishesContent) {
-  const auto dir = test_dir();
+  const test::TestDir dir;
   const auto path = (dir / "report.json").string();
   AtomicFileWriter w(path);
   w.stream() << "{\"ok\":true}\n";
@@ -39,7 +31,7 @@ TEST(AtomicFileWriter, CommitPublishesContent) {
 }
 
 TEST(AtomicFileWriter, NothingPublishedWithoutCommit) {
-  const auto dir = test_dir();
+  const test::TestDir dir;
   const auto path = (dir / "report.json").string();
   {
     AtomicFileWriter w(path);
@@ -50,7 +42,7 @@ TEST(AtomicFileWriter, NothingPublishedWithoutCommit) {
 }
 
 TEST(AtomicFileWriter, CommitReplacesExistingFile) {
-  const auto dir = test_dir();
+  const test::TestDir dir;
   const auto path = (dir / "report.json").string();
   write_file_atomic(path, "old\n");
   AtomicFileWriter w(path);
@@ -61,7 +53,7 @@ TEST(AtomicFileWriter, CommitReplacesExistingFile) {
 }
 
 TEST(AtomicFileWriter, KeepPreviousRetainsDisplacedGeneration) {
-  const auto dir = test_dir();
+  const test::TestDir dir;
   const auto path = (dir / "ckpt.jsonl").string();
   write_file_atomic(path, "generation-1\n");
   write_file_atomic(path, "generation-2\n", /*keep_previous=*/true);
@@ -75,7 +67,7 @@ TEST(AtomicFileWriter, KeepPreviousRetainsDisplacedGeneration) {
 }
 
 TEST(AtomicFileWriter, KeepPreviousWithNoExistingFile) {
-  const auto dir = test_dir();
+  const test::TestDir dir;
   const auto path = (dir / "ckpt.jsonl").string();
   write_file_atomic(path, "first\n", /*keep_previous=*/true);
   EXPECT_EQ(slurp(path), "first\n");

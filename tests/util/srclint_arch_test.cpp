@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "support/test_dir.hpp"
 #include "util/srclint.hpp"
 
 namespace mmog::util::lint {
@@ -32,8 +33,6 @@ void write(const fs::path& path, const std::string& content) {
 class SrcLintArchTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    root_ = fs::path(::testing::TempDir()) / "srclint_fixture";
-    fs::remove_all(root_);
     write(root_ / "src/alpha/CMakeLists.txt",
           "add_library(mmog_alpha a.cpp)\n");
     write(root_ / "src/beta/CMakeLists.txt",
@@ -56,9 +55,8 @@ class SrcLintArchTest : public ::testing::Test {
     write(root_ / "src/beta/nopragma.hpp", "int beta_g();\n");
   }
 
-  void TearDown() override { fs::remove_all(root_); }
-
-  fs::path root_;
+  const test::TestDir dir_;
+  const fs::path root_ = dir_.path();
 };
 
 TEST_F(SrcLintArchTest, GraphParsesModulesAndLinkClosure) {

@@ -1,6 +1,8 @@
-// Micro-benchmarks of the library's hot paths: trace generation, emulator
-// stepping, session packet emulation, matching, neural training, the
-// parallel predict phase, and the end-to-end provisioning step rate.
+// Micro-benchmarks of what perfbench does not time: emulator stepping,
+// session packet emulation, matcher candidate lists, and the parallel
+// predict phase alone and inside a simulated day, per thread count.
+// Trace generation, neural training and the serial simulator are
+// perfbench's trace.generate_s, nn.fit_s and core.simulate_s.
 
 #include <benchmark/benchmark.h>
 
@@ -8,22 +10,10 @@
 #include "core/predict_phase.hpp"
 #include "emu/datasets.hpp"
 #include "net/session.hpp"
-#include "predict/evaluate.hpp"
 
 using namespace mmog;
 
 namespace {
-
-void BM_TraceGenerationPerDay(benchmark::State& state) {
-  auto cfg = trace::RuneScapeModelConfig::paper_default();
-  cfg.steps = util::samples_per_days(1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    cfg.seed = seed++;
-    benchmark::DoNotOptimize(trace::generate(cfg));
-  }
-}
-BENCHMARK(BM_TraceGenerationPerDay)->Unit(benchmark::kMillisecond);
 
 void BM_EmulatorSample(benchmark::State& state) {
   auto sets = emu::table1_datasets();
@@ -56,22 +46,6 @@ void BM_MatcherCandidates(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MatcherCandidates);
-
-void BM_NeuralTrainingEra(benchmark::State& state) {
-  auto cfg = trace::RuneScapeModelConfig::paper_default();
-  cfg.steps = util::samples_per_days(1);
-  cfg.seed = 11;
-  const auto world = trace::generate(cfg);
-  std::vector<util::TimeSeries> histories = {
-      world.regions[0].groups[0].players};
-  for (auto _ : state) {
-    predict::NeuralConfig ncfg;
-    ncfg.train.max_eras = 1;
-    ncfg.train.patience = 0;
-    benchmark::DoNotOptimize(predict::NeuralModel::fit(ncfg, histories));
-  }
-}
-BENCHMARK(BM_NeuralTrainingEra)->Unit(benchmark::kMillisecond);
 
 // The isolated predict phase: one high-order AR predictor per server group,
 // sharded across the worker count given by Arg. The 4-thread run divided by
@@ -157,21 +131,6 @@ BENCHMARK(BM_ProvisioningDayThreaded)
     ->Arg(2)
     ->Arg(4)
     ->Unit(benchmark::kMillisecond);
-
-void BM_ProvisioningDay(benchmark::State& state) {
-  auto cfg = trace::RuneScapeModelConfig::paper_default();
-  cfg.steps = util::samples_per_days(1);
-  cfg.seed = 21;
-  auto world = trace::generate(cfg);
-  for (auto _ : state) {
-    auto sim = bench::standard_config(world);
-    sim.predictor = [] {
-      return std::make_unique<predict::LastValuePredictor>();
-    };
-    benchmark::DoNotOptimize(core::simulate(sim));
-  }
-}
-BENCHMARK(BM_ProvisioningDay)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

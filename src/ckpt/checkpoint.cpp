@@ -1,83 +1,123 @@
 #include "ckpt/checkpoint.hpp"
 
-#include <cmath>
 #include <cstddef>
+#include <cstdio>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "obs/audit.hpp"
+#include "obs/fields.hpp"
 #include "obs/jsonio.hpp"
 #include "util/atomic_file.hpp"
-#include "util/units.hpp"
 
-namespace mmog::ckpt {
+// The checkpointed records' field lists, in on-disk order
+// (obs/fields.hpp). Each lives in its record's namespace, where the codec
+// finds it by argument-dependent lookup.
 
+namespace mmog::fault {
 namespace {
 
-constexpr std::size_t kNever = std::numeric_limits<std::size_t>::max();
+constexpr obs::EnumName<FaultKind> kKindNames[] = {
+    {FaultKind::kOutage, "outage"},
+    {FaultKind::kCapacityLoss, "capacity"},
+    {FaultKind::kLatencyDegradation, "latency"},
+    {FaultKind::kGrantFlap, "flap"},
+};
+
+}  // namespace
+
+void fields(auto& v, obs::Of<FaultEvent> auto& event) {
+  v("kind", obs::by_name(event.kind, kKindNames));
+  v("dc", event.dc_index);
+  v("from", event.from_step);
+  v("to", event.to_step);
+  v("severity", event.severity);
+}
+
+void fields(auto& v, obs::Of<BackoffTracker::EntryView> auto& entry) {
+  v("dc", entry.dc);
+  v("failures", entry.failures);
+  v("until", entry.until);
+}
+
+}  // namespace mmog::fault
+
+namespace mmog::dc {
+
+void fields(auto& v, obs::Of<Allocation> auto& alloc) {
+  v("id", alloc.id);
+  v("dc", alloc.dc_index);
+  v("game", alloc.game_id);
+  v("group", alloc.group_id);
+  v("region_id", alloc.region_id);
+  v("amount", alloc.amount.v);
+  v("start", alloc.start_step);
+  v("usable", alloc.usable_step);
+  v("release", obs::or_never(alloc.earliest_release_step));
+}
+
+}  // namespace mmog::dc
+
+namespace mmog::core {
+
+void fields(auto& v, obs::Of<GroupCheckpoint> auto& group) {
+  v("predictor", group.predictor);
+  v("state", group.state);
+  v("last_prediction", group.last_prediction);
+  v("abs_error_ewma", group.abs_error_ewma);
+}
+
+void fields(auto& v, obs::Of<UnitCheckpoint> auto& unit) {
+  v("game", unit.game_id);
+  v("region", unit.region);
+  v("allocated", unit.allocated.v);
+  v("allocations", unit.allocations);
+  v("backoff", unit.backoff);
+  v("groups", unit.groups);
+}
+
+void fields(auto& v, obs::Of<LedgerCheckpoint> auto& ledger) {
+  v("in_use", ledger.in_use.v);
+  v("capacity_fraction", ledger.capacity_fraction);
+  v("cpu_sum", ledger.cpu_sum);
+  v("cpu_peak", ledger.cpu_peak);
+  v("origin_sum", ledger.origin_sum);
+}
+
+void fields(auto& v, obs::Of<SlaStats> auto& stats) {
+  v("steps", stats.steps);
+  v("downtime_steps", stats.downtime_steps);
+  v("shed_steps", stats.shed_steps);
+  v("breach_episodes", stats.breach_episodes);
+  v("recoveries", stats.recoveries);
+  v("longest_breach_steps", stats.longest_breach_steps);
+  v("mean_time_to_recover_steps", stats.mean_time_to_recover_steps);
+  v("max_time_to_recover_steps", stats.max_time_to_recover_steps);
+}
+
+void fields(auto& v, obs::Of<SlaTracker::State> auto& sla) {
+  v("stats", sla.stats);
+  v("streak", sla.streak);
+  v("recovered_steps_sum", sla.recovered_steps_sum);
+}
+
+/// A metrics row is positional: allocated, used and shortfall (every
+/// resource kind each), then the machine count.
+void cells(auto& v, obs::Of<StepMetrics> auto& row) {
+  for (auto& x : row.allocated.v) v(x);
+  for (auto& x : row.used.v) v(x);
+  for (auto& x : row.shortfall.v) v(x);
+  v(row.machines);
+}
+
+}  // namespace mmog::core
+
+namespace mmog::ckpt {
+namespace {
 
 [[noreturn]] void bad(const std::string& what) {
   throw CheckpointError("checkpoint: " + what);
-}
-
-// ---------------------------------------------------------------- writing
-
-void append_resources(std::string& out, const util::ResourceVector& v) {
-  out += '[';
-  for (std::size_t i = 0; i < util::kResourceKinds; ++i) {
-    if (i) out += ',';
-    out += obs::json_double(v.v[i]);
-  }
-  out += ']';
-}
-
-/// Steps that can be the kNever sentinel (hold-forever allocations) render
-/// as -1: SIZE_MAX does not survive a round-trip through a JSON double.
-void append_step_or_never(std::string& out, std::size_t v) {
-  out += v == kNever ? std::string("-1") : std::to_string(v);
-}
-
-void append_sla(std::string& out, const core::SlaTracker::State& s) {
-  out += "\"stats\":{\"steps\":" + std::to_string(s.stats.steps);
-  out += ",\"downtime_steps\":" + std::to_string(s.stats.downtime_steps);
-  out += ",\"shed_steps\":" + std::to_string(s.stats.shed_steps);
-  out += ",\"breach_episodes\":" + std::to_string(s.stats.breach_episodes);
-  out += ",\"recoveries\":" + std::to_string(s.stats.recoveries);
-  out +=
-      ",\"longest_breach_steps\":" + std::to_string(s.stats.longest_breach_steps);
-  out += ",\"mean_time_to_recover_steps\":" +
-         obs::json_double(s.stats.mean_time_to_recover_steps);
-  out += ",\"max_time_to_recover_steps\":" +
-         std::to_string(s.stats.max_time_to_recover_steps);
-  out += "},\"streak\":" + std::to_string(s.streak);
-  out += ",\"recovered_steps_sum\":" + obs::json_double(s.recovered_steps_sum);
-}
-
-void append_metrics_rows(std::string& out,
-                         const std::vector<core::StepMetrics>& rows) {
-  out += "\"rows\":[";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const auto& m = rows[i];
-    if (i) out += ',';
-    out += '[';
-    for (std::size_t r = 0; r < util::kResourceKinds; ++r) {
-      out += obs::json_double(m.allocated.v[r]);
-      out += ',';
-    }
-    for (std::size_t r = 0; r < util::kResourceKinds; ++r) {
-      out += obs::json_double(m.used.v[r]);
-      out += ',';
-    }
-    for (std::size_t r = 0; r < util::kResourceKinds; ++r) {
-      out += obs::json_double(m.shortfall.v[r]);
-      out += ',';
-    }
-    out += std::to_string(m.machines);
-    out += ']';
-  }
-  out += ']';
 }
 
 std::string hash_hex(std::uint64_t h) {
@@ -86,148 +126,6 @@ std::string hash_hex(std::uint64_t h) {
   for (std::size_t i = 0; i < 16; ++i) {
     out[15 - i] = kDigits[h & 0xF];
     h >>= 4;
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------- parsing
-
-double require_number(const obs::JsonValue& obj, const char* key,
-                      const char* where) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind() != obs::JsonValue::Kind::kNumber) {
-    bad(std::string(where) + ": missing numeric field \"" + key + "\"");
-  }
-  return v->as_number();
-}
-
-std::size_t require_index(const obs::JsonValue& obj, const char* key,
-                          const char* where) {
-  const double d = require_number(obj, key, where);
-  if (d < 0 || d != std::floor(d) || d > 9.007199254740992e15) {
-    bad(std::string(where) + ": field \"" + key +
-        "\" is not a non-negative integer");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-std::size_t require_step_or_never(const obs::JsonValue& obj, const char* key,
-                                  const char* where) {
-  const double d = require_number(obj, key, where);
-  if (d == -1.0) return kNever;
-  if (d < 0 || d != std::floor(d)) {
-    bad(std::string(where) + ": field \"" + key + "\" is not a step");
-  }
-  return static_cast<std::size_t>(d);
-}
-
-const std::string& require_string(const obs::JsonValue& obj, const char* key,
-                                  const char* where) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind() != obs::JsonValue::Kind::kString) {
-    bad(std::string(where) + ": missing string field \"" + key + "\"");
-  }
-  return v->as_string();
-}
-
-const std::vector<obs::JsonValue>& require_array(const obs::JsonValue& obj,
-                                                 const char* key,
-                                                 const char* where) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind() != obs::JsonValue::Kind::kArray) {
-    bad(std::string(where) + ": missing array field \"" + key + "\"");
-  }
-  return v->as_array();
-}
-
-const obs::JsonValue& require_object(const obs::JsonValue& obj,
-                                     const char* key, const char* where) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind() != obs::JsonValue::Kind::kObject) {
-    bad(std::string(where) + ": missing object field \"" + key + "\"");
-  }
-  return *v;
-}
-
-const obs::JsonValue& require_field(const obs::JsonValue& obj,
-                                    const char* key, const char* where) {
-  const obs::JsonValue* v = obj.find(key);
-  if (v == nullptr) {
-    bad(std::string(where) + ": missing field \"" + key + "\"");
-  }
-  return *v;
-}
-
-util::ResourceVector parse_resources(const obs::JsonValue& v,
-                                     const char* where) {
-  if (v.kind() != obs::JsonValue::Kind::kArray ||
-      v.as_array().size() != util::kResourceKinds) {
-    bad(std::string(where) + ": resource vector must be an array of " +
-        std::to_string(util::kResourceKinds) + " numbers");
-  }
-  util::ResourceVector out{};
-  for (std::size_t i = 0; i < util::kResourceKinds; ++i) {
-    out.v[i] = v.as_array()[i].as_number();
-  }
-  return out;
-}
-
-fault::FaultKind parse_fault_kind(const std::string& name) {
-  if (name == "outage") return fault::FaultKind::kOutage;
-  if (name == "capacity") return fault::FaultKind::kCapacityLoss;
-  if (name == "latency") return fault::FaultKind::kLatencyDegradation;
-  if (name == "flap") return fault::FaultKind::kGrantFlap;
-  bad("unknown fault kind \"" + name + "\"");
-}
-
-core::SlaTracker::State parse_sla(const obs::JsonValue& obj,
-                                  const char* where) {
-  core::SlaTracker::State s;
-  const obs::JsonValue& stats = require_object(obj, "stats", where);
-  s.stats.steps = require_index(stats, "steps", where);
-  s.stats.downtime_steps = require_index(stats, "downtime_steps", where);
-  s.stats.shed_steps = require_index(stats, "shed_steps", where);
-  s.stats.breach_episodes = require_index(stats, "breach_episodes", where);
-  s.stats.recoveries = require_index(stats, "recoveries", where);
-  s.stats.longest_breach_steps =
-      require_index(stats, "longest_breach_steps", where);
-  s.stats.mean_time_to_recover_steps =
-      require_number(stats, "mean_time_to_recover_steps", where);
-  s.stats.max_time_to_recover_steps =
-      require_index(stats, "max_time_to_recover_steps", where);
-  s.streak = require_index(obj, "streak", where);
-  s.recovered_steps_sum = require_number(obj, "recovered_steps_sum", where);
-  return s;
-}
-
-std::vector<core::StepMetrics> parse_metrics_rows(const obs::JsonValue& obj,
-                                                  const char* where) {
-  std::vector<core::StepMetrics> out;
-  const auto& rows = require_array(obj, "rows", where);
-  out.reserve(rows.size());
-  for (const auto& row : rows) {
-    if (row.kind() != obs::JsonValue::Kind::kArray ||
-        row.as_array().size() != 3 * util::kResourceKinds + 1) {
-      bad(std::string(where) + ": malformed metrics row");
-    }
-    const auto& cells = row.as_array();
-    core::StepMetrics m;
-    std::size_t c = 0;
-    for (std::size_t r = 0; r < util::kResourceKinds; ++r) {
-      m.allocated.v[r] = cells[c++].as_number();
-    }
-    for (std::size_t r = 0; r < util::kResourceKinds; ++r) {
-      m.used.v[r] = cells[c++].as_number();
-    }
-    for (std::size_t r = 0; r < util::kResourceKinds; ++r) {
-      m.shortfall.v[r] = cells[c++].as_number();
-    }
-    const double machines = cells[c].as_number();
-    if (machines < 0 || machines != std::floor(machines)) {
-      bad(std::string(where) + ": malformed machine count");
-    }
-    m.machines = static_cast<std::size_t>(machines);
-    out.push_back(m);
   }
   return out;
 }
@@ -242,7 +140,7 @@ class LineCursor {
   bool done() const noexcept { return pos_ >= end_; }
   std::size_t line_number() const noexcept { return line_; }
 
-  std::string_view next_raw(const char* expected) {
+  obs::JsonValue next(const char* expected) {
     if (done()) {
       bad(std::string("truncated: expected ") + expected +
           " after line " + std::to_string(line_));
@@ -251,14 +149,9 @@ class LineCursor {
     const std::size_t stop = eol == std::string_view::npos
                                  ? end_
                                  : std::min(eol, end_);
-    std::string_view raw = text_.substr(pos_, stop - pos_);
+    const std::string_view raw = text_.substr(pos_, stop - pos_);
     pos_ = eol == std::string_view::npos ? end_ : stop + 1;
     ++line_;
-    return raw;
-  }
-
-  obs::JsonValue next(const char* expected) {
-    const std::string_view raw = next_raw(expected);
     try {
       return obs::parse_json(raw);
     } catch (const std::invalid_argument& e) {
@@ -267,27 +160,131 @@ class LineCursor {
     }
   }
 
-  /// The next line, which must be a section object with the given name.
-  obs::JsonValue section(const char* name) {
-    obs::JsonValue v = next(name);
-    if (v.kind() != obs::JsonValue::Kind::kObject) {
-      bad("line " + std::to_string(line_) + ": expected a JSON object");
-    }
-    const obs::JsonValue* s = v.find("section");
-    if (s == nullptr || s->kind() != obs::JsonValue::Kind::kString ||
-        s->as_string() != name) {
-      bad("line " + std::to_string(line_) + ": expected section \"" +
-          name + "\"");
-    }
-    return v;
-  }
-
  private:
   std::string_view text_;
   std::size_t end_ = 0;
   std::size_t pos_ = 0;
   std::size_t line_ = 0;
 };
+
+/// Serializes the layout, one JSON object per line.
+class LineWriter {
+ public:
+  explicit LineWriter(std::string& out) : out_(out) {}
+
+  template <class Fn>
+  void line(Fn&& list) {
+    out_ += '{';
+    obs::FieldWriter writer(out_);
+    list(writer);
+    out_ += "}\n";
+  }
+
+  template <class T, class Fn>
+  void each(const std::vector<T>& items, std::size_t /*count*/, Fn&& body) {
+    for (std::size_t i = 0; i < items.size(); ++i) body(items[i], i);
+  }
+
+ private:
+  std::string& out_;
+};
+
+/// Parses the layout back through a LineCursor. obs::FieldReader checks
+/// every value, so any malformed one is a CheckpointError naming its line
+/// and key.
+class LineReader {
+ public:
+  explicit LineReader(LineCursor& cursor) : cur_(cursor) {}
+
+  template <class Fn>
+  void line(Fn&& list) {
+    const obs::JsonValue line = cur_.next("another line");
+    char where[48];
+    std::snprintf(where, sizeof where, "checkpoint: line %zu",
+                  cur_.line_number());
+    obs::FieldReader<CheckpointError> reader(line, where);
+    list(reader);
+  }
+
+  template <class T, class Fn>
+  void each(std::vector<T>& items, std::size_t count, Fn&& body) {
+    for (std::size_t i = 0; i < count; ++i) body(items.emplace_back(), i);
+  }
+
+ private:
+  LineCursor& cur_;
+};
+
+/// The file's lines in order, walked by LineWriter to serialize and by
+/// LineReader to parse: the header, then one line per section (extras, sim
+/// scalars, fault events, ledgers, each unit, global then per-game metrics
+/// and SLA, counters, audit) and the audit prefix's records. The counts in
+/// the header and the audit line say how many lines follow.
+template <class Lines, class File>
+void layout(Lines& lines, File& file) {
+  auto& st = file.state;
+  std::size_t units = st.units.size();
+  std::size_t games = st.game_step_metrics.size();
+  std::size_t audit = st.audit_records.size();
+  const auto section = [&](const char* name, const auto& list) {
+    lines.line([&](auto& v) {
+      v.tag("section", name);
+      list(v);
+    });
+  };
+  lines.line([&](auto& v) {
+    v.tag("magic", kMagic);
+    v.tag("version", kFormatVersion);
+    v("next_step", st.next_step);
+    v("steps", st.steps);
+    v("units", units);
+    v("games", games);
+  });
+  section("extras", [&](auto& v) { v("data", file.extras); });
+  section("sim", [&](auto& v) {
+    v("next_allocation_id", st.next_allocation_id);
+    v("unplaced_cpu_unit_steps", st.unplaced_cpu_unit_steps);
+    v("total_cost", st.total_cost);
+  });
+  section("faults", [&](auto& v) { v("events", st.fault_events); });
+  section("ledgers", [&](auto& v) { v("items", st.ledgers); });
+  lines.each(st.units, units, [&](auto& unit, std::size_t i) {
+    section("unit", [&](auto& v) {
+      v.tag("index", i);
+      fields(v, unit);
+    });
+  });
+  const auto scoped = [&](const char* name, auto& global, auto& per_game,
+                          const auto& list) {
+    section(name, [&](auto& v) {
+      v.tag("scope", "global");
+      list(v, global);
+    });
+    lines.each(per_game, games, [&](auto& game, std::size_t g) {
+      section(name, [&](auto& v) {
+        v.tag("scope", "game");
+        v.tag("index", g);
+        list(v, game);
+      });
+    });
+  };
+  scoped("metrics", st.step_metrics, st.game_step_metrics,
+         [](auto& v, auto& rows) { v("rows", rows); });
+  scoped("sla", st.overall_sla, st.game_sla,
+         [](auto& v, auto& sla) { fields(v, sla); });
+  section("counters", [&](auto& v) { v("data", st.counters); });
+  section("audit", [&](auto& v) { v("count", audit); });
+  lines.each(st.audit_records, audit, [&](auto& record, std::size_t) {
+    lines.line([&](auto& v) { fields(v, record); });
+  });
+}
+
+/// The footer line: the checksum kind and the FNV-1a 64 (hex) of every
+/// byte before it.
+void footer(auto& v, auto& hash) {
+  v.tag("footer", "fnv1a64");
+  v("hash", hash);
+}
 
 }  // namespace
 
@@ -301,169 +298,13 @@ std::uint64_t fnv1a64(std::string_view bytes) {
 }
 
 std::string to_jsonl(const CheckpointFile& file) {
-  const core::CheckpointState& st = file.state;
   std::string out;
   out.reserve(4096);
-
-  // Header: identity, position, and the counts the parser walks by.
-  out += "{\"magic\":\"";
-  out += kMagic;
-  out += "\",\"version\":" + std::to_string(kFormatVersion);
-  out += ",\"next_step\":" + std::to_string(st.next_step);
-  out += ",\"steps\":" + std::to_string(st.steps);
-  out += ",\"units\":" + std::to_string(st.units.size());
-  out += ",\"games\":" + std::to_string(st.game_step_metrics.size());
-  out += "}\n";
-
-  out += "{\"section\":\"extras\",\"data\":{";
-  bool first = true;
-  for (const auto& [key, value] : file.extras) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    obs::append_json_escaped(out, key);
-    out += "\":\"";
-    obs::append_json_escaped(out, value);
-    out += '"';
-  }
-  out += "}}\n";
-
-  out += "{\"section\":\"sim\",\"next_allocation_id\":" +
-         std::to_string(st.next_allocation_id);
-  out += ",\"unplaced_cpu_unit_steps\":" +
-         obs::json_double(st.unplaced_cpu_unit_steps);
-  out += ",\"total_cost\":" + obs::json_double(st.total_cost);
-  out += "}\n";
-
-  out += "{\"section\":\"faults\",\"events\":[";
-  for (std::size_t i = 0; i < st.fault_events.size(); ++i) {
-    const auto& e = st.fault_events[i];
-    if (i) out += ',';
-    out += "{\"kind\":\"";
-    out += fault::fault_kind_name(e.kind);
-    out += "\",\"dc\":" + std::to_string(e.dc_index);
-    out += ",\"from\":" + std::to_string(e.from_step);
-    out += ",\"to\":" + std::to_string(e.to_step);
-    out += ",\"severity\":" + obs::json_double(e.severity);
-    out += '}';
-  }
-  out += "]}\n";
-
-  out += "{\"section\":\"ledgers\",\"items\":[";
-  for (std::size_t i = 0; i < st.ledgers.size(); ++i) {
-    const auto& l = st.ledgers[i];
-    if (i) out += ',';
-    out += "{\"in_use\":";
-    append_resources(out, l.in_use);
-    out += ",\"capacity_fraction\":" + obs::json_double(l.capacity_fraction);
-    out += ",\"cpu_sum\":" + obs::json_double(l.cpu_sum);
-    out += ",\"cpu_peak\":" + obs::json_double(l.cpu_peak);
-    out += ",\"origin_sum\":{";
-    bool first_origin = true;
-    for (const auto& [region, sum] : l.origin_sum) {
-      if (!first_origin) out += ',';
-      first_origin = false;
-      out += '"';
-      obs::append_json_escaped(out, region);
-      out += "\":" + obs::json_double(sum);
-    }
-    out += "}}";
-  }
-  out += "]}\n";
-
-  for (std::size_t i = 0; i < st.units.size(); ++i) {
-    const auto& u = st.units[i];
-    out += "{\"section\":\"unit\",\"index\":" + std::to_string(i);
-    out += ",\"game\":" + std::to_string(u.game_id);
-    out += ",\"region\":\"";
-    obs::append_json_escaped(out, u.region);
-    out += "\",\"allocated\":";
-    append_resources(out, u.allocated);
-    out += ",\"allocations\":[";
-    for (std::size_t a = 0; a < u.allocations.size(); ++a) {
-      const auto& al = u.allocations[a];
-      if (a) out += ',';
-      out += "{\"id\":" + std::to_string(al.id);
-      out += ",\"dc\":" + std::to_string(al.dc_index);
-      out += ",\"game\":" + std::to_string(al.game_id);
-      out += ",\"group\":" + std::to_string(al.group_id);
-      out += ",\"region_id\":" + std::to_string(al.region_id);
-      out += ",\"amount\":";
-      append_resources(out, al.amount);
-      out += ",\"start\":" + std::to_string(al.start_step);
-      out += ",\"usable\":" + std::to_string(al.usable_step);
-      out += ",\"release\":";
-      append_step_or_never(out, al.earliest_release_step);
-      out += '}';
-    }
-    out += "],\"backoff\":[";
-    for (std::size_t b = 0; b < u.backoff.size(); ++b) {
-      const auto& e = u.backoff[b];
-      if (b) out += ',';
-      out += "{\"dc\":" + std::to_string(e.dc);
-      out += ",\"failures\":" + std::to_string(e.failures);
-      out += ",\"until\":" + std::to_string(e.until);
-      out += '}';
-    }
-    out += "],\"groups\":[";
-    for (std::size_t g = 0; g < u.groups.size(); ++g) {
-      const auto& gr = u.groups[g];
-      if (g) out += ',';
-      out += "{\"predictor\":\"";
-      obs::append_json_escaped(out, gr.predictor);
-      out += "\",\"state\":[";
-      for (std::size_t s = 0; s < gr.state.size(); ++s) {
-        if (s) out += ',';
-        out += obs::json_double(gr.state[s]);
-      }
-      out += "],\"last_prediction\":" + obs::json_double(gr.last_prediction);
-      out += ",\"abs_error_ewma\":" + obs::json_double(gr.abs_error_ewma);
-      out += '}';
-    }
-    out += "]}\n";
-  }
-
-  out += "{\"section\":\"metrics\",\"scope\":\"global\",";
-  append_metrics_rows(out, st.step_metrics);
-  out += "}\n";
-  for (std::size_t g = 0; g < st.game_step_metrics.size(); ++g) {
-    out += "{\"section\":\"metrics\",\"scope\":\"game\",\"index\":" +
-           std::to_string(g) + ",";
-    append_metrics_rows(out, st.game_step_metrics[g]);
-    out += "}\n";
-  }
-
-  out += "{\"section\":\"sla\",\"scope\":\"global\",";
-  append_sla(out, st.overall_sla);
-  out += "}\n";
-  for (std::size_t g = 0; g < st.game_sla.size(); ++g) {
-    out += "{\"section\":\"sla\",\"scope\":\"game\",\"index\":" +
-           std::to_string(g) + ",";
-    append_sla(out, st.game_sla[g]);
-    out += "}\n";
-  }
-
-  out += "{\"section\":\"counters\",\"data\":{";
-  first = true;
-  for (const auto& [name, value] : st.counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    obs::append_json_escaped(out, name);
-    out += "\":" + obs::json_double(value);
-  }
-  out += "}}\n";
-
-  out += "{\"section\":\"audit\",\"count\":" +
-         std::to_string(st.audit_records.size()) + "}\n";
-  for (const auto& record : st.audit_records) {
-    out += obs::audit_record_to_json(record);
-    out += '\n';
-  }
-
-  // Footer: FNV-1a 64 over every byte above, including the last newline.
-  out += "{\"footer\":\"fnv1a64\",\"hash\":\"" + hash_hex(fnv1a64(out)) +
-         "\"}\n";
+  LineWriter lines(out);
+  layout(lines, file);
+  // The footer hashes every byte above, including the last newline.
+  const std::string hash = hash_hex(fnv1a64(out));
+  lines.line([&](auto& v) { footer(v, hash); });
   return out;
 }
 
@@ -481,20 +322,16 @@ CheckpointFile parse_jsonl(std::string_view text) {
                                        : last_nl + 1;
   if (footer_start == 0) bad("truncated: no footer line");
 
-  obs::JsonValue footer = obs::JsonValue::make_null();
+  std::string want;
   try {
-    footer = obs::parse_json(text.substr(footer_start, end - footer_start));
+    const obs::JsonValue line =
+        obs::parse_json(text.substr(footer_start, end - footer_start));
+    obs::FieldReader<CheckpointError> reader(
+        line, "checkpoint: footer line (file truncated?)");
+    footer(reader, want);
   } catch (const std::invalid_argument&) {
     bad("malformed footer line (file truncated?)");
   }
-  if (footer.kind() != obs::JsonValue::Kind::kObject ||
-      footer.find("footer") == nullptr) {
-    bad("missing footer line (file truncated?)");
-  }
-  if (require_string(footer, "footer", "footer") != "fnv1a64") {
-    bad("unknown footer checksum kind");
-  }
-  const std::string& want = require_string(footer, "hash", "footer");
   const std::string got = hash_hex(fnv1a64(text.substr(0, footer_start)));
   if (want != got) {
     bad("checksum mismatch (file corrupted): footer " + want +
@@ -503,164 +340,8 @@ CheckpointFile parse_jsonl(std::string_view text) {
 
   LineCursor cur(text, footer_start);
   CheckpointFile file;
-  core::CheckpointState& st = file.state;
-
-  const obs::JsonValue header = cur.next("header");
-  if (header.kind() != obs::JsonValue::Kind::kObject ||
-      header.find("magic") == nullptr ||
-      header.at("magic").kind() != obs::JsonValue::Kind::kString ||
-      header.at("magic").as_string() != kMagic) {
-    bad("not a checkpoint file (bad magic)");
-  }
-  const std::size_t version = require_index(header, "version", "header");
-  if (version != kFormatVersion) {
-    bad("unsupported version " + std::to_string(version) + " (expected " +
-        std::to_string(kFormatVersion) + ")");
-  }
-  st.next_step = require_index(header, "next_step", "header");
-  st.steps = require_index(header, "steps", "header");
-  const std::size_t n_units = require_index(header, "units", "header");
-  const std::size_t n_games = require_index(header, "games", "header");
-
-  const obs::JsonValue extras = cur.section("extras");
-  for (const auto& [key, value] :
-       require_object(extras, "data", "extras").members()) {
-    if (value.kind() != obs::JsonValue::Kind::kString) {
-      bad("extras: value of \"" + key + "\" is not a string");
-    }
-    file.extras.emplace(key, value.as_string());
-  }
-
-  const obs::JsonValue sim = cur.section("sim");
-  st.next_allocation_id = require_index(sim, "next_allocation_id", "sim");
-  st.unplaced_cpu_unit_steps =
-      require_number(sim, "unplaced_cpu_unit_steps", "sim");
-  st.total_cost = require_number(sim, "total_cost", "sim");
-
-  const obs::JsonValue faults = cur.section("faults");
-  for (const auto& ev : require_array(faults, "events", "faults")) {
-    fault::FaultEvent e;
-    e.kind = parse_fault_kind(require_string(ev, "kind", "faults"));
-    e.dc_index = require_index(ev, "dc", "faults");
-    e.from_step = require_index(ev, "from", "faults");
-    e.to_step = require_index(ev, "to", "faults");
-    e.severity = require_number(ev, "severity", "faults");
-    st.fault_events.push_back(e);
-  }
-
-  const obs::JsonValue ledgers = cur.section("ledgers");
-  for (const auto& item : require_array(ledgers, "items", "ledgers")) {
-    core::LedgerCheckpoint l;
-    l.in_use = parse_resources(require_field(item, "in_use", "ledgers"),
-                               "ledgers");
-    l.capacity_fraction = require_number(item, "capacity_fraction", "ledgers");
-    l.cpu_sum = require_number(item, "cpu_sum", "ledgers");
-    l.cpu_peak = require_number(item, "cpu_peak", "ledgers");
-    for (const auto& [region, sum] :
-         require_object(item, "origin_sum", "ledgers").members()) {
-      l.origin_sum.emplace(region, sum.as_number());
-    }
-    st.ledgers.push_back(std::move(l));
-  }
-
-  st.units.reserve(n_units);
-  for (std::size_t i = 0; i < n_units; ++i) {
-    const obs::JsonValue unit = cur.section("unit");
-    if (require_index(unit, "index", "unit") != i) {
-      bad("unit sections out of order");
-    }
-    core::UnitCheckpoint u;
-    u.game_id = require_index(unit, "game", "unit");
-    u.region = require_string(unit, "region", "unit");
-    u.allocated =
-        parse_resources(require_field(unit, "allocated", "unit"), "unit");
-    for (const auto& av : require_array(unit, "allocations", "unit")) {
-      dc::Allocation al;
-      al.id = require_index(av, "id", "unit");
-      al.dc_index = require_index(av, "dc", "unit");
-      al.game_id = require_index(av, "game", "unit");
-      al.group_id = require_index(av, "group", "unit");
-      al.region_id = require_index(av, "region_id", "unit");
-      al.amount =
-          parse_resources(require_field(av, "amount", "unit"), "unit");
-      al.start_step = require_index(av, "start", "unit");
-      al.usable_step = require_index(av, "usable", "unit");
-      al.earliest_release_step = require_step_or_never(av, "release", "unit");
-      u.allocations.push_back(al);
-    }
-    for (const auto& bv : require_array(unit, "backoff", "unit")) {
-      fault::BackoffTracker::EntryView e;
-      e.dc = require_index(bv, "dc", "unit");
-      e.failures = require_index(bv, "failures", "unit");
-      e.until = require_index(bv, "until", "unit");
-      u.backoff.push_back(e);
-    }
-    for (const auto& gv : require_array(unit, "groups", "unit")) {
-      core::GroupCheckpoint g;
-      g.predictor = require_string(gv, "predictor", "unit");
-      for (const auto& s : require_array(gv, "state", "unit")) {
-        g.state.push_back(s.as_number());
-      }
-      g.last_prediction = require_number(gv, "last_prediction", "unit");
-      g.abs_error_ewma = require_number(gv, "abs_error_ewma", "unit");
-      u.groups.push_back(std::move(g));
-    }
-    st.units.push_back(std::move(u));
-  }
-
-  const obs::JsonValue metrics = cur.section("metrics");
-  if (require_string(metrics, "scope", "metrics") != "global") {
-    bad("expected the global metrics section first");
-  }
-  st.step_metrics = parse_metrics_rows(metrics, "metrics");
-  st.game_step_metrics.reserve(n_games);
-  for (std::size_t g = 0; g < n_games; ++g) {
-    const obs::JsonValue gm = cur.section("metrics");
-    if (require_string(gm, "scope", "metrics") != "game" ||
-        require_index(gm, "index", "metrics") != g) {
-      bad("game metrics sections out of order");
-    }
-    st.game_step_metrics.push_back(parse_metrics_rows(gm, "metrics"));
-  }
-
-  const obs::JsonValue sla = cur.section("sla");
-  if (require_string(sla, "scope", "sla") != "global") {
-    bad("expected the global sla section first");
-  }
-  st.overall_sla = parse_sla(sla, "sla");
-  st.game_sla.reserve(n_games);
-  for (std::size_t g = 0; g < n_games; ++g) {
-    const obs::JsonValue gs = cur.section("sla");
-    if (require_string(gs, "scope", "sla") != "game" ||
-        require_index(gs, "index", "sla") != g) {
-      bad("game sla sections out of order");
-    }
-    st.game_sla.push_back(parse_sla(gs, "sla"));
-  }
-
-  const obs::JsonValue counters = cur.section("counters");
-  for (const auto& [name, value] :
-       require_object(counters, "data", "counters").members()) {
-    st.counters.emplace(name, value.as_number());
-  }
-
-  const obs::JsonValue audit = cur.section("audit");
-  const std::size_t n_audit = require_index(audit, "count", "audit");
-  std::string audit_lines;
-  for (std::size_t i = 0; i < n_audit; ++i) {
-    audit_lines += cur.next_raw("audit record");
-    audit_lines += '\n';
-  }
-  try {
-    std::istringstream in(audit_lines);
-    st.audit_records = obs::read_audit_jsonl(in);
-  } catch (const std::exception& e) {
-    bad(std::string("malformed audit record: ") + e.what());
-  }
-  if (st.audit_records.size() != n_audit) {
-    bad("audit record count mismatch");
-  }
-
+  LineReader lines(cur);
+  layout(lines, file);
   if (!cur.done()) {
     bad("trailing content after the audit section");
   }

@@ -1,17 +1,9 @@
 #include "obs/alerts.hpp"
 
-#include <cmath>
-#include <cstdio>
+#include "obs/jsonio.hpp"
 
 namespace mmog::obs {
 namespace {
-
-std::string format_value(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.15g", v);
-  return buf;
-}
 
 void append_json_string(std::string& out, std::string_view s) {
   out += '"';
@@ -147,7 +139,7 @@ std::string AlertEngine::to_json() const {
     append_json_string(out, status.rule.metric);
     out += ",\"op\":";
     append_json_string(out, alert_op_name(status.rule.op));
-    out += ",\"value\":" + format_value(status.rule.value);
+    out += ",\"value\":" + json_number(status.rule.value);
     out += ",\"for_steps\":" + std::to_string(status.rule.for_steps);
     out += ",\"state\":";
     append_json_string(out, alert_state_name(status.state));
@@ -167,7 +159,7 @@ std::string AlertEngine::to_json() const {
           ",\"last_resolved_step\":" + std::to_string(status.last_resolved_step);
     }
     if (status.has_value) {
-      out += ",\"last_value\":" + format_value(status.last_value);
+      out += ",\"last_value\":" + json_number(status.last_value);
     }
     out += '}';
   }

@@ -1,6 +1,5 @@
 #include "obs/audit.hpp"
 
-#include <cctype>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -8,46 +7,16 @@
 #include "obs/jsonio.hpp"
 
 namespace mmog::obs {
-namespace {
-
-struct OutcomeName {
-  OfferOutcome outcome;
-  std::string_view name;
-};
-
-constexpr OutcomeName kOutcomeNames[] = {
-    {OfferOutcome::kGranted, "granted"},
-    {OfferOutcome::kRejectedOutage, "rejected_outage"},
-    {OfferOutcome::kRejectedLatencyDegraded, "rejected_latency_degraded"},
-    {OfferOutcome::kRejectedBackoff, "rejected_backoff"},
-    {OfferOutcome::kRejectedBulk, "rejected_bulk"},
-    {OfferOutcome::kRejectedAmount, "rejected_amount"},
-    {OfferOutcome::kGrantFlapped, "grant_flapped"},
-};
-
-struct KindName {
-  AuditKind kind;
-  std::string_view name;
-};
-
-constexpr KindName kKindNames[] = {
-    {AuditKind::kMatch, "match"},
-    {AuditKind::kReplace, "replace"},
-    {AuditKind::kStatic, "static"},
-    {AuditKind::kForceRelease, "force_release"},
-};
-
-}  // namespace
 
 std::string_view offer_outcome_name(OfferOutcome outcome) {
-  for (const auto& [value, name] : kOutcomeNames) {
+  for (const auto& [value, name] : kOfferOutcomeNames) {
     if (value == outcome) return name;
   }
   return "unknown";
 }
 
 OfferOutcome offer_outcome_from_name(std::string_view name) {
-  for (const auto& [value, candidate] : kOutcomeNames) {
+  for (const auto& [value, candidate] : kOfferOutcomeNames) {
     if (candidate == name) return value;
   }
   throw std::invalid_argument("audit: unknown offer outcome \"" +
@@ -55,14 +24,14 @@ OfferOutcome offer_outcome_from_name(std::string_view name) {
 }
 
 std::string_view audit_kind_name(AuditKind kind) {
-  for (const auto& [value, name] : kKindNames) {
+  for (const auto& [value, name] : kAuditKindNames) {
     if (value == kind) return name;
   }
   return "unknown";
 }
 
 AuditKind audit_kind_from_name(std::string_view name) {
-  for (const auto& [value, candidate] : kKindNames) {
+  for (const auto& [value, candidate] : kAuditKindNames) {
     if (candidate == name) return value;
   }
   throw std::invalid_argument("audit: unknown record kind \"" +
@@ -97,47 +66,12 @@ std::vector<AuditRecord> AuditTrail::records() const {
 std::string audit_record_to_json(const AuditRecord& record) {
   std::string line;
   line.reserve(256);
-  line += "{\"seq\":" + std::to_string(record.seq);
-  line += ",\"step\":" + std::to_string(record.step);
-  line += ",\"kind\":\"";
-  line += audit_kind_name(record.kind);
-  line += "\",\"game\":" + std::to_string(record.game);
-  line += ",\"region\":\"";
-  append_json_escaped(line, record.region);
-  line += "\",\"predicted\":" + json_double(record.predicted_players);
-  line += ",\"actual\":" + json_double(record.actual_players);
-  line += ",\"margin_cpu\":" + json_double(record.margin_cpu);
-  line += ",\"demand_cpu\":" + json_double(record.demand_cpu);
-  line += ",\"held_cpu\":" + json_double(record.held_cpu);
-  line += ",\"released_cpu\":" + json_double(record.released_cpu);
-  line += ",\"requested_cpu\":" + json_double(record.requested_cpu);
-  line += ",\"granted_cpu\":" + json_double(record.granted_cpu);
-  line += ",\"unmet_cpu\":" + json_double(record.unmet_cpu);
-  line += ",\"dc\":" + std::to_string(record.dc);
-  line += ",\"cause\":\"";
-  append_json_escaped(line, record.cause);
-  line += "\",\"alloc_id\":" + std::to_string(record.alloc_id);
-  line += ",\"offers\":[";
-  for (std::size_t i = 0; i < record.offers.size(); ++i) {
-    const AuditOffer& offer = record.offers[i];
-    if (i) line += ',';
-    line += "{\"dc\":" + std::to_string(offer.dc);
-    line += ",\"outcome\":\"";
-    line += offer_outcome_name(offer.outcome);
-    line += "\",\"cpu\":" + json_double(offer.cpu);
-    line += ",\"until_step\":" + std::to_string(offer.until_step);
-    line += '}';
-  }
-  line += "]}";
+  FieldWriter writer(line);
+  writer(record);
   return line;
 }
 
-void AuditTrail::write_jsonl(std::ostream& out) const {
-  const auto copy = records();
-  for (const auto& record : copy) {
-    out << audit_record_to_json(record) << '\n';
-  }
-}
+void AuditTrail::write_jsonl(std::ostream& out) const { out << to_jsonl(); }
 
 std::string AuditTrail::to_jsonl() const {
   const auto copy = records();
@@ -153,44 +87,10 @@ std::vector<AuditRecord> read_audit_jsonl(std::istream& in) {
   std::vector<AuditRecord> records;
   std::string line;
   while (std::getline(in, line)) {
-    bool blank = true;
-    for (char c : line) {
-      if (!std::isspace(static_cast<unsigned char>(c))) {
-        blank = false;
-        break;
-      }
-    }
-    if (blank) continue;
+    if (line.find_first_not_of(" \t\n\v\f\r") == std::string::npos) continue;
     const JsonValue doc = parse_json(line);
-    AuditRecord record;
-    record.seq = static_cast<std::uint64_t>(doc.at("seq").as_number());
-    record.step = static_cast<std::uint64_t>(doc.at("step").as_number());
-    record.kind = audit_kind_from_name(doc.at("kind").as_string());
-    record.game = static_cast<std::uint32_t>(doc.at("game").as_number());
-    record.region = doc.at("region").as_string();
-    record.predicted_players = doc.at("predicted").as_number();
-    record.actual_players = doc.at("actual").as_number();
-    record.margin_cpu = doc.at("margin_cpu").as_number();
-    record.demand_cpu = doc.at("demand_cpu").as_number();
-    record.held_cpu = doc.at("held_cpu").as_number();
-    record.released_cpu = doc.at("released_cpu").as_number();
-    record.requested_cpu = doc.at("requested_cpu").as_number();
-    record.granted_cpu = doc.at("granted_cpu").as_number();
-    record.unmet_cpu = doc.at("unmet_cpu").as_number();
-    record.dc = static_cast<std::int32_t>(doc.at("dc").as_number());
-    record.cause = doc.at("cause").as_string();
-    record.alloc_id =
-        static_cast<std::uint64_t>(doc.at("alloc_id").as_number());
-    for (const JsonValue& item : doc.at("offers").as_array()) {
-      AuditOffer offer;
-      offer.dc = static_cast<std::uint32_t>(item.at("dc").as_number());
-      offer.outcome = offer_outcome_from_name(item.at("outcome").as_string());
-      offer.cpu = item.at("cpu").as_number();
-      offer.until_step =
-          static_cast<std::uint64_t>(item.at("until_step").as_number());
-      record.offers.push_back(offer);
-    }
-    records.push_back(std::move(record));
+    FieldReader<std::invalid_argument> reader(doc, "audit record");
+    fields(reader, records.emplace_back());
   }
   return records;
 }

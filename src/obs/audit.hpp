@@ -6,6 +6,7 @@
 #include <string_view>
 #include <vector>
 
+#include "obs/fields.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -25,6 +26,16 @@ enum class OfferOutcome : std::uint8_t {
   kGrantFlapped,            ///< offer accepted but the grant never materialized
 };
 
+inline constexpr EnumName<OfferOutcome> kOfferOutcomeNames[] = {
+    {OfferOutcome::kGranted, "granted"},
+    {OfferOutcome::kRejectedOutage, "rejected_outage"},
+    {OfferOutcome::kRejectedLatencyDegraded, "rejected_latency_degraded"},
+    {OfferOutcome::kRejectedBackoff, "rejected_backoff"},
+    {OfferOutcome::kRejectedBulk, "rejected_bulk"},
+    {OfferOutcome::kRejectedAmount, "rejected_amount"},
+    {OfferOutcome::kGrantFlapped, "grant_flapped"},
+};
+
 std::string_view offer_outcome_name(OfferOutcome outcome);
 /// Inverse of offer_outcome_name; throws std::invalid_argument.
 OfferOutcome offer_outcome_from_name(std::string_view name);
@@ -35,6 +46,13 @@ enum class AuditKind : std::uint8_t {
   kReplace,       ///< same-step resilient re-placement after a fault loss
   kStatic,        ///< one-shot static provisioning at step 0
   kForceRelease,  ///< eviction: outage / latency / capacity fault, or shed
+};
+
+inline constexpr EnumName<AuditKind> kAuditKindNames[] = {
+    {AuditKind::kMatch, "match"},
+    {AuditKind::kReplace, "replace"},
+    {AuditKind::kStatic, "static"},
+    {AuditKind::kForceRelease, "force_release"},
 };
 
 std::string_view audit_kind_name(AuditKind kind);
@@ -91,6 +109,36 @@ struct AuditRecord {
   friend bool operator==(const AuditRecord&, const AuditRecord&) = default;
 };
 
+// The JSONL line's field list (obs/fields.hpp): the trail's writer and
+// reader and the checkpoint's audit section all walk it.
+void fields(auto& v, Of<AuditOffer> auto& offer) {
+  v("dc", offer.dc);
+  v("outcome", by_name(offer.outcome, kOfferOutcomeNames));
+  v("cpu", offer.cpu);
+  v("until_step", offer.until_step);
+}
+
+void fields(auto& v, Of<AuditRecord> auto& record) {
+  v("seq", record.seq);
+  v("step", record.step);
+  v("kind", by_name(record.kind, kAuditKindNames));
+  v("game", record.game);
+  v("region", record.region);
+  v("predicted", record.predicted_players);
+  v("actual", record.actual_players);
+  v("margin_cpu", record.margin_cpu);
+  v("demand_cpu", record.demand_cpu);
+  v("held_cpu", record.held_cpu);
+  v("released_cpu", record.released_cpu);
+  v("requested_cpu", record.requested_cpu);
+  v("granted_cpu", record.granted_cpu);
+  v("unmet_cpu", record.unmet_cpu);
+  v("dc", record.dc);
+  v("cause", record.cause);
+  v("alloc_id", record.alloc_id);
+  v("offers", record.offers);
+}
+
 /// Append-only decision log. The simulation thread appends (batched per
 /// step, after the step's actual demand is known); the telemetry thread
 /// reads snapshots through the same mutex, so `GET /audit` can serve a
@@ -125,8 +173,9 @@ class AuditTrail {
 std::string audit_record_to_json(const AuditRecord& record);
 
 /// Parses a stream produced by AuditTrail::write_jsonl back into records.
-/// Blank lines are skipped; throws std::invalid_argument on malformed
-/// lines.
+/// Blank lines are skipped; throws std::invalid_argument on a malformed
+/// line: bad JSON, a missing or mistyped field, an unknown name, or an
+/// integer its member cannot hold.
 std::vector<AuditRecord> read_audit_jsonl(std::istream& in);
 
 }  // namespace mmog::obs

@@ -28,11 +28,21 @@ void append_json_escaped(std::string& out, std::string_view s) {
   }
 }
 
-std::string json_double(double v) {
-  if (!std::isfinite(v)) return "0";
+void append_json_double(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += '0';
+    return;
+  }
   char buf[32];
   const auto res = std::to_chars(buf, buf + sizeof buf, v);
-  return std::string(buf, res.ptr);
+  out.append(buf, res.ptr);
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.15g", v);
+  return buf;
 }
 
 bool JsonValue::as_bool() const {

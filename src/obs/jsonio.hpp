@@ -13,11 +13,23 @@ namespace mmog::obs {
 /// control bytes as \u00XX).
 void append_json_escaped(std::string& out, std::string_view s);
 
-/// Shortest decimal rendering that round-trips the exact double
-/// (std::to_chars): equal strings iff equal bits, so serialized values can
-/// be compared byte-for-byte without a tolerance. Non-finite values render
-/// as 0 (JSON has no Inf/NaN).
-std::string json_double(double v);
+/// Appends the shortest decimal rendering that round-trips the exact
+/// double (std::to_chars): equal strings iff equal bits, so serialized
+/// values can be compared byte-for-byte without a tolerance. Non-finite
+/// values render as 0 (JSON has no Inf/NaN).
+void append_json_double(std::string& out, double v);
+
+/// append_json_double into a new string.
+inline std::string json_double(double v) {
+  std::string out;
+  append_json_double(out, v);
+  return out;
+}
+
+/// 15 significant digits (printf "%.15g"), the number format of the
+/// metrics snapshot, trace, alert and time-series exports. Non-finite
+/// values render as 0.
+std::string json_number(double v);
 
 /// A parsed JSON value: the minimal dynamic representation the audit and
 /// report readers need. Object keys keep the document's order alongside a

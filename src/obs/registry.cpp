@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <cmath>
-#include <cstdio>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
+#include "obs/jsonio.hpp"
 #include "util/csv.hpp"
 
 namespace mmog::obs {
@@ -45,34 +43,6 @@ struct LocalHistogram {
     max = std::max(max, value);
   }
 };
-
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(15);
-  os << v;
-  return os.str();
-}
 
 }  // namespace
 

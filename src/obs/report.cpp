@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/fields.hpp"
 #include "obs/jsonio.hpp"
 
 namespace mmog::obs {
@@ -21,41 +22,6 @@ std::uint64_t fnv1a64(std::string_view data, std::uint64_t hash) {
   return hash;
 }
 
-std::string quoted(std::string_view s) {
-  std::string out = "\"";
-  append_json_escaped(out, s);
-  out += '"';
-  return out;
-}
-
-void append_string_map(std::string& out,
-                       const std::map<std::string, std::string>& map) {
-  out += '{';
-  bool sep = false;
-  for (const auto& [key, value] : map) {
-    if (sep) out += ',';
-    out += quoted(key) + ':' + quoted(value);
-    sep = true;
-  }
-  out += '}';
-}
-
-void append_counter_map(std::string& out,
-                        const std::map<std::string, double>& map) {
-  out += '{';
-  bool sep = false;
-  for (const auto& [key, value] : map) {
-    if (sep) out += ',';
-    out += quoted(key) + ':' + json_double(value);
-    sep = true;
-  }
-  out += '}';
-}
-
-std::uint64_t as_u64(const JsonValue& v) {
-  return static_cast<std::uint64_t>(v.as_number());
-}
-
 std::string format_line(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
@@ -68,22 +34,29 @@ std::string format_line(const char* fmt, ...) {
   return buf;
 }
 
-/// One exact-match comparison between two doubles parsed from reports:
-/// shortest-round-trip serialization makes bit equality the right test.
-void compare_number(std::vector<std::string>& notes, bool& identical,
-                    std::string_view field, double a, double b) {
-  if (a == b) return;
-  identical = false;
-  notes.push_back("outcome." + std::string(field) + ": " + json_double(a) +
-                  " != " + json_double(b));
-}
-
-void compare_count(std::vector<std::string>& notes, bool& identical,
-                   std::string_view field, std::uint64_t a, std::uint64_t b) {
-  if (a == b) return;
-  identical = false;
-  notes.push_back("outcome." + std::string(field) + ": " +
-                  std::to_string(a) + " != " + std::to_string(b));
+/// Notes every key only one map holds and every value that differs, as
+/// "<label><key>: ..."; returns whether the maps are equal. `show(value,
+/// in_comparison)` renders a value.
+template <class Map, class Show>
+bool diff_map(std::vector<std::string>& notes, const std::string& label,
+              const Map& a, const Map& b, Show show) {
+  for (const auto& [key, value] : a) {
+    const auto it = b.find(key);
+    if (it == b.end()) {
+      notes.push_back(label + key + ": only in first (" + show(value, false) +
+                      ")");
+    } else if (it->second != value) {
+      notes.push_back(label + key + ": " + show(value, true) + " != " +
+                      show(it->second, true));
+    }
+  }
+  for (const auto& [key, value] : b) {
+    if (!a.contains(key)) {
+      notes.push_back(label + key + ": only in second (" +
+                      show(value, false) + ")");
+    }
+  }
+  return a == b;
 }
 
 }  // namespace
@@ -102,67 +75,71 @@ std::string RunReport::fingerprint() const {
   return buf;
 }
 
+// The report's field list (obs/fields.hpp): to_json, parse and the outcome
+// comparison in diff_reports all walk it.
+void fields(auto& v, Of<RunReport::Outcome> auto& o) {
+  v("steps", o.steps);
+  v("over_allocation_pct", o.over_allocation_pct);
+  v("under_allocation_pct", o.under_allocation_pct);
+  v("significant_events", o.significant_events);
+  v("unplaced_cpu_unit_steps", o.unplaced_cpu_unit_steps);
+  v("total_cost", o.total_cost);
+  v("fault_windows", o.fault_windows);
+  v.group("sla", [&](auto& sla) {
+    sla("availability_pct", o.availability_pct);
+    sla("steps", o.sla_steps);
+    sla("downtime_steps", o.downtime_steps);
+    sla("shed_steps", o.shed_steps);
+    sla("breach_episodes", o.breach_episodes);
+    sla("longest_breach_steps", o.longest_breach_steps);
+    sla("recoveries", o.recoveries);
+    sla("mean_time_to_recover_steps", o.mean_time_to_recover_steps);
+    sla("max_time_to_recover_steps", o.max_time_to_recover_steps);
+  });
+  v.group("alerts", [&](auto& alerts) {
+    alerts("fired", o.alerts_fired);
+    alerts("resolved", o.alerts_resolved);
+    alerts("firing", o.alerts_firing);
+  });
+  v("audit_records", o.audit_records);
+  v("counters", o.counters);
+}
+
+void fields(auto& v, Of<RunReport::PhaseStats> auto& phase) {
+  v("name", phase.name);
+  v("count", phase.count);
+  v("mean_us", phase.mean_us);
+  v("p50_us", phase.p50_us);
+  v("p90_us", phase.p90_us);
+  v("p99_us", phase.p99_us);
+  v("max_us", phase.max_us);
+  // Additive schema-1 fields: reports written before the profiler existed
+  // parse with the zero default.
+  v.optional("allocs_mean", phase.allocs_mean);
+  v.optional("alloc_bytes_mean", phase.alloc_bytes_mean);
+}
+
+void fields(auto& v, Of<RunReport> auto& report) {
+  v.tag("schema", RunReport::kSchemaVersion);
+  v("tool", report.tool);
+  v("label", report.label);
+  v("config", report.config);
+  v.write_only("fingerprint", report.fingerprint());
+  v("outcome", report.outcome);
+  v.group("timing", [&](auto& timing) {
+    timing("threads", report.threads);
+    timing("wall_seconds", report.wall_seconds);
+    timing("peak_rss_kb", report.peak_rss_kb);
+    timing.optional("steps_per_sec", report.steps_per_sec);
+    timing("phases", report.phases);
+  });
+}
+
 std::string RunReport::to_json() const {
   std::string out;
   out.reserve(2048);
-  out += "{\"schema\":" + std::to_string(kSchemaVersion);
-  out += ",\"tool\":" + quoted(tool);
-  out += ",\"label\":" + quoted(label);
-  out += ",\"config\":";
-  append_string_map(out, config);
-  out += ",\"fingerprint\":" + quoted(fingerprint());
-  out += ",\"outcome\":{";
-  out += "\"steps\":" + std::to_string(outcome.steps);
-  out += ",\"over_allocation_pct\":" + json_double(outcome.over_allocation_pct);
-  out += ",\"under_allocation_pct\":" +
-         json_double(outcome.under_allocation_pct);
-  out += ",\"significant_events\":" +
-         std::to_string(outcome.significant_events);
-  out += ",\"unplaced_cpu_unit_steps\":" +
-         json_double(outcome.unplaced_cpu_unit_steps);
-  out += ",\"total_cost\":" + json_double(outcome.total_cost);
-  out += ",\"fault_windows\":" + std::to_string(outcome.fault_windows);
-  out += ",\"sla\":{";
-  out += "\"availability_pct\":" + json_double(outcome.availability_pct);
-  out += ",\"steps\":" + std::to_string(outcome.sla_steps);
-  out += ",\"downtime_steps\":" + std::to_string(outcome.downtime_steps);
-  out += ",\"shed_steps\":" + std::to_string(outcome.shed_steps);
-  out += ",\"breach_episodes\":" + std::to_string(outcome.breach_episodes);
-  out += ",\"longest_breach_steps\":" +
-         std::to_string(outcome.longest_breach_steps);
-  out += ",\"recoveries\":" + std::to_string(outcome.recoveries);
-  out += ",\"mean_time_to_recover_steps\":" +
-         json_double(outcome.mean_time_to_recover_steps);
-  out += ",\"max_time_to_recover_steps\":" +
-         std::to_string(outcome.max_time_to_recover_steps);
-  out += "},\"alerts\":{";
-  out += "\"fired\":" + std::to_string(outcome.alerts_fired);
-  out += ",\"resolved\":" + std::to_string(outcome.alerts_resolved);
-  out += ",\"firing\":" + std::to_string(outcome.alerts_firing);
-  out += "},\"audit_records\":" + std::to_string(outcome.audit_records);
-  out += ",\"counters\":";
-  append_counter_map(out, outcome.counters);
-  out += "},\"timing\":{";
-  out += "\"threads\":" + std::to_string(threads);
-  out += ",\"wall_seconds\":" + json_double(wall_seconds);
-  out += ",\"peak_rss_kb\":" + std::to_string(peak_rss_kb);
-  out += ",\"steps_per_sec\":" + json_double(steps_per_sec);
-  out += ",\"phases\":[";
-  for (std::size_t i = 0; i < phases.size(); ++i) {
-    const PhaseStats& phase = phases[i];
-    if (i) out += ',';
-    out += "{\"name\":" + quoted(phase.name);
-    out += ",\"count\":" + std::to_string(phase.count);
-    out += ",\"mean_us\":" + json_double(phase.mean_us);
-    out += ",\"p50_us\":" + json_double(phase.p50_us);
-    out += ",\"p90_us\":" + json_double(phase.p90_us);
-    out += ",\"p99_us\":" + json_double(phase.p99_us);
-    out += ",\"max_us\":" + json_double(phase.max_us);
-    out += ",\"allocs_mean\":" + json_double(phase.allocs_mean);
-    out += ",\"alloc_bytes_mean\":" + json_double(phase.alloc_bytes_mean);
-    out += '}';
-  }
-  out += "]}}";
+  FieldWriter writer(out);
+  writer(*this);
   return out;
 }
 
@@ -210,98 +187,30 @@ std::string RunReport::summary_text() const {
 
 namespace {
 
-RunReport report_from_value(const JsonValue& doc) {
-  if (static_cast<int>(doc.at("schema").as_number()) !=
-      RunReport::kSchemaVersion) {
-    throw std::invalid_argument("report: unsupported schema version");
-  }
+RunReport read_report(const JsonValue& doc) {
   RunReport report;
-  report.tool = doc.at("tool").as_string();
-  report.label = doc.at("label").as_string();
-  for (const auto& [key, value] : doc.at("config").members()) {
-    report.config[key] = value.as_string();
-  }
-  const JsonValue& outcome = doc.at("outcome");
-  report.outcome.steps = as_u64(outcome.at("steps"));
-  report.outcome.over_allocation_pct =
-      outcome.at("over_allocation_pct").as_number();
-  report.outcome.under_allocation_pct =
-      outcome.at("under_allocation_pct").as_number();
-  report.outcome.significant_events = as_u64(outcome.at("significant_events"));
-  report.outcome.unplaced_cpu_unit_steps =
-      outcome.at("unplaced_cpu_unit_steps").as_number();
-  report.outcome.total_cost = outcome.at("total_cost").as_number();
-  report.outcome.fault_windows = as_u64(outcome.at("fault_windows"));
-  const JsonValue& sla = outcome.at("sla");
-  report.outcome.availability_pct = sla.at("availability_pct").as_number();
-  report.outcome.sla_steps = as_u64(sla.at("steps"));
-  report.outcome.downtime_steps = as_u64(sla.at("downtime_steps"));
-  report.outcome.shed_steps = as_u64(sla.at("shed_steps"));
-  report.outcome.breach_episodes = as_u64(sla.at("breach_episodes"));
-  report.outcome.longest_breach_steps =
-      as_u64(sla.at("longest_breach_steps"));
-  report.outcome.recoveries = as_u64(sla.at("recoveries"));
-  report.outcome.mean_time_to_recover_steps =
-      sla.at("mean_time_to_recover_steps").as_number();
-  report.outcome.max_time_to_recover_steps =
-      as_u64(sla.at("max_time_to_recover_steps"));
-  const JsonValue& alerts = outcome.at("alerts");
-  report.outcome.alerts_fired = as_u64(alerts.at("fired"));
-  report.outcome.alerts_resolved = as_u64(alerts.at("resolved"));
-  report.outcome.alerts_firing = as_u64(alerts.at("firing"));
-  report.outcome.audit_records = as_u64(outcome.at("audit_records"));
-  for (const auto& [key, value] : outcome.at("counters").members()) {
-    report.outcome.counters[key] = value.as_number();
-  }
-  const JsonValue& timing = doc.at("timing");
-  report.threads = as_u64(timing.at("threads"));
-  report.wall_seconds = timing.at("wall_seconds").as_number();
-  report.peak_rss_kb = as_u64(timing.at("peak_rss_kb"));
-  // Additive schema-1 fields (PR 8): reports written before them parse
-  // with the zero default.
-  if (const JsonValue* v = timing.find("steps_per_sec")) {
-    report.steps_per_sec = v->as_number();
-  }
-  for (const JsonValue& item : timing.at("phases").as_array()) {
-    RunReport::PhaseStats phase;
-    phase.name = item.at("name").as_string();
-    phase.count = as_u64(item.at("count"));
-    phase.mean_us = item.at("mean_us").as_number();
-    phase.p50_us = item.at("p50_us").as_number();
-    phase.p90_us = item.at("p90_us").as_number();
-    phase.p99_us = item.at("p99_us").as_number();
-    phase.max_us = item.at("max_us").as_number();
-    if (const JsonValue* v = item.find("allocs_mean")) {
-      phase.allocs_mean = v->as_number();
-    }
-    if (const JsonValue* v = item.find("alloc_bytes_mean")) {
-      phase.alloc_bytes_mean = v->as_number();
-    }
-    report.phases.push_back(std::move(phase));
-  }
+  FieldReader<std::invalid_argument> reader(doc, "report");
+  fields(reader, report);
   return report;
 }
 
 }  // namespace
 
 RunReport RunReport::parse(std::string_view json) {
-  return report_from_value(parse_json(json));
+  return read_report(parse_json(json));
 }
 
 std::vector<RunReport> parse_report_file(std::string_view json) {
   const JsonValue doc = parse_json(json);
+  if (doc.kind() == JsonValue::Kind::kObject) return {read_report(doc)};
+  if (doc.kind() != JsonValue::Kind::kArray) {
+    throw std::invalid_argument("report: expected an object or array");
+  }
   std::vector<RunReport> reports;
-  if (doc.kind() == JsonValue::Kind::kObject) {
-    reports.push_back(report_from_value(doc));
-    return reports;
+  for (const JsonValue& item : doc.as_array()) {
+    reports.push_back(read_report(item));
   }
-  if (doc.kind() == JsonValue::Kind::kArray) {
-    for (const JsonValue& item : doc.as_array()) {
-      reports.push_back(report_from_value(item));
-    }
-    return reports;
-  }
-  throw std::invalid_argument("report: expected an object or array");
+  return reports;
 }
 
 std::string reports_to_json(const std::vector<RunReport>& reports) {
@@ -318,80 +227,15 @@ DiffResult diff_reports(const RunReport& a, const RunReport& b,
                         double timing_tolerance_pct) {
   DiffResult result;
   auto& notes = result.notes;
-  if (a.config != b.config) {
-    result.outcome_identical = false;
-    for (const auto& [key, value] : a.config) {
-      const auto it = b.config.find(key);
-      if (it == b.config.end()) {
-        notes.push_back("config." + key + ": only in first (" + value + ")");
-      } else if (it->second != value) {
-        notes.push_back("config." + key + ": \"" + value + "\" != \"" +
-                        it->second + "\"");
-      }
-    }
-    for (const auto& [key, value] : b.config) {
-      if (a.config.find(key) == a.config.end()) {
-        notes.push_back("config." + key + ": only in second (" + value + ")");
-      }
-    }
-  }
-  bool& ok = result.outcome_identical;
-  const auto& oa = a.outcome;
-  const auto& ob = b.outcome;
-  compare_count(notes, ok, "steps", oa.steps, ob.steps);
-  compare_number(notes, ok, "over_allocation_pct", oa.over_allocation_pct,
-                 ob.over_allocation_pct);
-  compare_number(notes, ok, "under_allocation_pct", oa.under_allocation_pct,
-                 ob.under_allocation_pct);
-  compare_count(notes, ok, "significant_events", oa.significant_events,
-                ob.significant_events);
-  compare_number(notes, ok, "unplaced_cpu_unit_steps",
-                 oa.unplaced_cpu_unit_steps, ob.unplaced_cpu_unit_steps);
-  compare_number(notes, ok, "total_cost", oa.total_cost, ob.total_cost);
-  compare_count(notes, ok, "fault_windows", oa.fault_windows,
-                ob.fault_windows);
-  compare_number(notes, ok, "sla.availability_pct", oa.availability_pct,
-                 ob.availability_pct);
-  compare_count(notes, ok, "sla.steps", oa.sla_steps, ob.sla_steps);
-  compare_count(notes, ok, "sla.downtime_steps", oa.downtime_steps,
-                ob.downtime_steps);
-  compare_count(notes, ok, "sla.shed_steps", oa.shed_steps, ob.shed_steps);
-  compare_count(notes, ok, "sla.breach_episodes", oa.breach_episodes,
-                ob.breach_episodes);
-  compare_count(notes, ok, "sla.longest_breach_steps",
-                oa.longest_breach_steps, ob.longest_breach_steps);
-  compare_count(notes, ok, "sla.recoveries", oa.recoveries, ob.recoveries);
-  compare_number(notes, ok, "sla.mean_time_to_recover_steps",
-                 oa.mean_time_to_recover_steps,
-                 ob.mean_time_to_recover_steps);
-  compare_count(notes, ok, "sla.max_time_to_recover_steps",
-                oa.max_time_to_recover_steps, ob.max_time_to_recover_steps);
-  compare_count(notes, ok, "alerts.fired", oa.alerts_fired, ob.alerts_fired);
-  compare_count(notes, ok, "alerts.resolved", oa.alerts_resolved,
-                ob.alerts_resolved);
-  compare_count(notes, ok, "alerts.firing", oa.alerts_firing,
-                ob.alerts_firing);
-  compare_count(notes, ok, "audit_records", oa.audit_records,
-                ob.audit_records);
-  if (oa.counters != ob.counters) {
-    ok = false;
-    for (const auto& [key, value] : oa.counters) {
-      const auto it = ob.counters.find(key);
-      if (it == ob.counters.end()) {
-        notes.push_back("counter " + key + ": only in first (" +
-                        json_double(value) + ")");
-      } else if (it->second != value) {
-        notes.push_back("counter " + key + ": " + json_double(value) +
-                        " != " + json_double(it->second));
-      }
-    }
-    for (const auto& [key, value] : ob.counters) {
-      if (oa.counters.find(key) == oa.counters.end()) {
-        notes.push_back("counter " + key + ": only in second (" +
-                        json_double(value) + ")");
-      }
-    }
-  }
+  bool same = diff_map(notes, "config.", a.config, b.config,
+                       [](const std::string& v, bool quoted) {
+                         return quoted ? '"' + v + '"' : v;
+                       });
+  same = diff_fields(a.outcome, b.outcome, "outcome", notes) && same;
+  same = diff_map(notes, "counter ", a.outcome.counters, b.outcome.counters,
+                  [](double v, bool) { return json_double(v); }) &&
+         same;
+  result.outcome_identical = same;
   if (timing_tolerance_pct >= 0.0) {
     for (const auto& pa : a.phases) {
       const RunReport::PhaseStats* pb = nullptr;

@@ -1,22 +1,11 @@
 #include "obs/timeseries.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
+#include "obs/jsonio.hpp"
 #include "util/csv.hpp"
 
 namespace mmog::obs {
-namespace {
-
-std::string format_value(double v) {
-  if (!std::isfinite(v)) return "0";
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.15g", v);
-  return buf;
-}
-
-}  // namespace
 
 TimeSeriesBuffer::TimeSeriesBuffer(std::size_t capacity)
     : capacity_(std::max<std::size_t>(2, capacity + (capacity & 1))) {
@@ -98,12 +87,12 @@ std::string TimeSeriesStore::to_json() const {
     out += ",\"points\":[";
     for (std::size_t i = 0; i < buf.points().size(); ++i) {
       if (i) out += ',';
-      out += format_value(buf.points()[i]);
+      out += json_number(buf.points()[i]);
     }
     double tail = 0.0;
     if (buf.partial(&tail)) {
       if (!buf.points().empty()) out += ',';
-      out += format_value(tail);
+      out += json_number(tail);
     }
     out += "]}";
   }
@@ -121,7 +110,7 @@ std::string TimeSeriesStore::to_csv() const {
       out += escaped + ',' +
              std::to_string(series.start_step +
                             index * static_cast<std::uint64_t>(buf.stride())) +
-             ',' + format_value(value) + '\n';
+             ',' + json_number(value) + '\n';
     };
     for (std::size_t i = 0; i < buf.points().size(); ++i) {
       row(i, buf.points()[i]);

@@ -1,45 +1,15 @@
 #include "obs/tracer.hpp"
 
 #include <cctype>
-#include <cmath>
-#include <cstdio>
 #include <istream>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 
+#include "obs/jsonio.hpp"
 #include "util/atomic_file.hpp"
 
 namespace mmog::obs {
 namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-std::string number(double v) {
-  if (!std::isfinite(v)) return "0";
-  std::ostringstream os;
-  os.precision(15);
-  os << v;
-  return os.str();
-}
 
 void append_args_object(std::string& out,
                         const std::vector<TraceArg>& args) {
@@ -47,9 +17,9 @@ void append_args_object(std::string& out,
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (i) out += ',';
     out += '"';
-    append_escaped(out, args[i].key);
+    append_json_escaped(out, args[i].key);
     out += "\":\"";
-    append_escaped(out, args[i].value);
+    append_json_escaped(out, args[i].value);
     out += '"';
   }
   out += '}';
@@ -278,12 +248,12 @@ void Tracer::write_jsonl(std::ostream& out) const {
     line += ",\"kind\":\"";
     line += ev.kind == TraceKind::kSpan ? "span" : "instant";
     line += "\",\"name\":\"";
-    append_escaped(line, ev.name);
+    append_json_escaped(line, ev.name);
     line += "\",\"cat\":\"";
-    append_escaped(line, ev.category);
+    append_json_escaped(line, ev.category);
     line += "\",\"step\":" + std::to_string(ev.step);
-    line += ",\"ts_us\":" + number(ev.ts_us);
-    line += ",\"dur_us\":" + number(ev.dur_us);
+    line += ",\"ts_us\":" + json_number(ev.ts_us);
+    line += ",\"dur_us\":" + json_number(ev.dur_us);
     line += ",\"args\":";
     append_args_object(line, ev.args);
     line += "}\n";
@@ -300,14 +270,14 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     item.clear();
     if (i) item += ',';
     item += "\n{\"name\":\"";
-    append_escaped(item, ev.name);
+    append_json_escaped(item, ev.name);
     item += "\",\"cat\":\"";
-    append_escaped(item, ev.category);
+    append_json_escaped(item, ev.category);
     item += "\",\"ph\":\"";
     item += ev.kind == TraceKind::kSpan ? 'X' : 'i';
-    item += "\",\"ts\":" + number(ev.ts_us);
+    item += "\",\"ts\":" + json_number(ev.ts_us);
     if (ev.kind == TraceKind::kSpan) {
-      item += ",\"dur\":" + number(ev.dur_us);
+      item += ",\"dur\":" + json_number(ev.dur_us);
     } else {
       item += ",\"s\":\"t\"";
     }

@@ -117,6 +117,28 @@ TEST(AuditTest, ReadSkipsBlanksAndRejectsGarbage) {
   }
 }
 
+TEST(AuditTest, ReadRejectsIntegersItCannotHold) {
+  auto record = sample_record();
+  record.dc = kAuditNoDc;
+  const std::string line = audit_record_to_json(record);
+  const auto read = [&](const std::string& from, const std::string& to) {
+    auto text = line;
+    const auto pos = text.find(from);
+    EXPECT_NE(pos, std::string::npos) << from;
+    if (pos != std::string::npos) text.replace(pos, from.size(), to);
+    std::stringstream ss(text);
+    return read_audit_jsonl(ss);
+  };
+  // kAuditNoDc is the one negative value a record member holds.
+  std::stringstream plain(line);
+  EXPECT_EQ(read_audit_jsonl(plain).at(0).dc, kAuditNoDc);
+  EXPECT_THROW(read("\"seq\":0", "\"seq\":-1"), std::invalid_argument);
+  EXPECT_THROW(read("\"game\":1", "\"game\":-2"), std::invalid_argument);
+  EXPECT_THROW(read("\"dc\":-1,", "\"dc\":1e300,"), std::invalid_argument);
+  EXPECT_THROW(read("\"alloc_id\":0", "\"alloc_id\":0.5"),
+               std::invalid_argument);
+}
+
 TEST(AuditTest, DiffAuditsFlagsCountAndContentDrift) {
   const std::vector<AuditRecord> a = {sample_record(), sample_record()};
   EXPECT_FALSE(diff_audits(a, a).regression());

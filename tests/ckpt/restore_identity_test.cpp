@@ -13,6 +13,7 @@
 #include "obs/recorder.hpp"
 #include "obs/report.hpp"
 #include "predict/simple.hpp"
+#include "support/run_digest.hpp"
 
 // The checkpoint/restore invariant end to end, in process: restoring at any
 // step k and running to the end yields a RunReport and a decision-audit
@@ -246,6 +247,44 @@ TEST_F(RestoreIdentityTest, StopFlagEmitsFinalCheckpointAndInterrupts) {
   const auto diff = obs::diff_reports(reference_->report, resumed.report);
   EXPECT_FALSE(diff.regression()) << notes_of(diff);
   EXPECT_EQ(reference_->audit_jsonl, resumed.audit_jsonl);
+}
+
+TEST(RestoreDigestTest, EveryOutputSurvivesRestoreUnderAllFaultKinds) {
+  // The digest covers what the report diff does not: the per-step history,
+  // per-game metrics, per-DC usage by origin, the audit trail and every
+  // counter. Restored at three points of the all-faults world, through the
+  // serialized format and at one and four threads, the resumed run must
+  // reproduce the uninterrupted run's digest.
+  const auto digest_of = [](std::size_t threads,
+                            const CheckpointState* restore_from,
+                            std::vector<CheckpointState>* captured) {
+    auto cfg = test::digest_faulted_config(threads);
+    obs::Recorder rec(obs::TraceLevel::kOff);
+    rec.enable_audit();
+    cfg.recorder = &rec;
+    cfg.restore_from = restore_from;
+    if (captured != nullptr) {
+      cfg.checkpoint_every_steps = 40;
+      cfg.checkpoint_sink = [captured](const CheckpointState& st) {
+        captured->push_back(st);
+      };
+    }
+    return test::run_digest(simulate(cfg), &rec);
+  };
+  std::vector<CheckpointState> captured;
+  const auto reference = digest_of(1, nullptr, &captured);
+  for (const std::size_t step : {40u, 120u, 200u}) {
+    const CheckpointState* snapshot = nullptr;
+    for (const auto& st : captured) {
+      if (st.next_step == step) snapshot = &st;
+    }
+    ASSERT_NE(snapshot, nullptr) << "no checkpoint at step " << step;
+    const auto restored = through_format(*snapshot);
+    for (const std::size_t threads : {1u, 4u}) {
+      EXPECT_EQ(digest_of(threads, &restored, nullptr), reference)
+          << "k=" << step << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <ostream>
 #include <stdexcept>
 
+#include "obs/fields.hpp"
 #include "obs/jsonio.hpp"
 #include "util/atomic_file.hpp"
 
@@ -25,168 +26,29 @@ void append_args_object(std::string& out,
   out += '}';
 }
 
-/// Minimal cursor parser for the JSONL subset write_jsonl() emits: one flat
-/// object per line whose values are strings, numbers, or the one-level
-/// "args" object of string values.
-class LineParser {
- public:
-  explicit LineParser(std::string_view line) : s_(line) {}
-
-  TraceEvent parse() {
-    TraceEvent ev;
-    expect('{');
-    skip_ws();
-    if (peek() != '}') {
-      for (;;) {
-        const std::string key = parse_string();
-        expect(':');
-        if (key == "args") {
-          parse_args(ev.args);
-        } else if (key == "kind") {
-          const std::string kind = parse_string();
-          if (kind == "span") {
-            ev.kind = TraceKind::kSpan;
-          } else if (kind == "instant") {
-            ev.kind = TraceKind::kInstant;
-          } else {
-            throw std::invalid_argument("trace jsonl: unknown kind " + kind);
-          }
-        } else if (key == "name") {
-          ev.name = parse_string();
-        } else if (key == "cat") {
-          ev.category = parse_string();
-        } else if (key == "seq") {
-          ev.seq = static_cast<std::uint64_t>(parse_number());
-        } else if (key == "step") {
-          ev.step = static_cast<std::uint64_t>(parse_number());
-        } else if (key == "ts_us") {
-          ev.ts_us = parse_number();
-        } else if (key == "dur_us") {
-          ev.dur_us = parse_number();
-        } else {
-          skip_value();
-        }
-        skip_ws();
-        if (peek() == ',') {
-          ++pos_;
-          skip_ws();
-          continue;
-        }
-        break;
-      }
-    }
-    expect('}');
-    return ev;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::invalid_argument("trace jsonl: " + what + " at offset " +
-                                std::to_string(pos_));
-  }
-
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  void expect(char c) {
-    skip_ws();
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos_ >= s_.size()) fail("dangling escape");
-      const char e = s_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
-          const unsigned code = static_cast<unsigned>(
-              std::stoul(std::string(s_.substr(pos_, 4)), nullptr, 16));
-          pos_ += 4;
-          // The writer only emits \u00XX for control bytes.
-          out += static_cast<char>(code & 0xff);
-          break;
-        }
-        default: fail("unsupported escape");
-      }
-    }
-    if (pos_ >= s_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  double parse_number() {
-    skip_ws();
-    const std::size_t begin = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (begin == pos_) fail("expected number");
-    return std::stod(std::string(s_.substr(begin, pos_ - begin)));
-  }
-
-  void parse_args(std::vector<TraceArg>& args) {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    for (;;) {
-      TraceArg arg;
-      arg.key = parse_string();
-      expect(':');
-      arg.value = parse_string();
-      args.push_back(std::move(arg));
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        skip_ws();
-        continue;
-      }
-      break;
-    }
-    expect('}');
-  }
-
-  void skip_value() {
-    skip_ws();
-    if (peek() == '"') {
-      parse_string();
-    } else if (peek() == '{') {
-      std::vector<TraceArg> ignored;
-      parse_args(ignored);
-    } else {
-      parse_number();
-    }
-  }
-
-  std::string_view s_;
-  std::size_t pos_ = 0;
+constexpr EnumName<TraceKind> kTraceKindNames[] = {
+    {TraceKind::kSpan, "span"},
+    {TraceKind::kInstant, "instant"},
 };
+
+/// Reads one write_jsonl() line. Every member the writer emits is required
+/// and must hold a value of its field's type; args keep document order.
+TraceEvent parse_line(std::string_view line) {
+  const JsonValue json = parse_json(line);
+  FieldReader<std::invalid_argument> v(json, "trace jsonl");
+  TraceEvent ev;
+  v("seq", ev.seq);
+  v("kind", by_name(ev.kind, kTraceKindNames));
+  v("name", ev.name);
+  v("cat", ev.category);
+  v("step", ev.step);
+  v("ts_us", ev.ts_us);
+  v("dur_us", ev.dur_us);
+  for (const auto& [key, value] : json.at("args").members()) {
+    ev.args.push_back({key, value.as_string()});
+  }
+  return ev;
+}
 
 }  // namespace
 
@@ -303,7 +165,7 @@ std::vector<TraceEvent> read_trace_jsonl(std::istream& in) {
       }
     }
     if (blank) continue;
-    events.push_back(LineParser(line).parse());
+    events.push_back(parse_line(line));
   }
   return events;
 }

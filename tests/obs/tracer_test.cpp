@@ -90,6 +90,26 @@ TEST(TracerTest, ReadSkipsBlankLinesAndRejectsGarbage) {
   }
 }
 
+TEST(TracerTest, ReadRejectsValuesItCannotHold) {
+  // A negative seq, a timestamp no double holds, a fractional step, a line
+  // missing members the writer always emits, and a non-string arg value.
+  const char* const lines[] = {
+      "{\"seq\":-1,\"kind\":\"instant\",\"name\":\"x\",\"cat\":\"c\","
+      "\"step\":0,\"ts_us\":0,\"dur_us\":0,\"args\":{}}",
+      "{\"seq\":0,\"kind\":\"instant\",\"name\":\"x\",\"cat\":\"c\","
+      "\"step\":0,\"ts_us\":1e999,\"dur_us\":0,\"args\":{}}",
+      "{\"seq\":0,\"kind\":\"instant\",\"name\":\"x\",\"cat\":\"c\","
+      "\"step\":2.5,\"ts_us\":0,\"dur_us\":0,\"args\":{}}",
+      "{\"seq\":0,\"kind\":\"instant\",\"name\":\"x\"}",
+      "{\"seq\":0,\"kind\":\"instant\",\"name\":\"x\",\"cat\":\"c\","
+      "\"step\":0,\"ts_us\":0,\"dur_us\":0,\"args\":{\"k\":1}}",
+  };
+  for (const char* line : lines) {
+    std::stringstream ss(line);
+    EXPECT_THROW(read_trace_jsonl(ss), std::invalid_argument) << line;
+  }
+}
+
 TEST(TracerTest, ChromeTraceIsWellFormedPerfettoInput) {
   Tracer tracer;
   tracer.complete_span("step", "step", 1, 0.0, 50.0);

@@ -3,18 +3,6 @@
 #include "obs/jsonio.hpp"
 
 namespace mmog::obs {
-namespace {
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-}
-
-}  // namespace
 
 std::string_view alert_op_name(AlertOp op) noexcept {
   switch (op) {
@@ -133,17 +121,17 @@ std::string AlertEngine::to_json() const {
   for (const auto& status : statuses_) {
     if (sep) out += ',';
     sep = true;
-    out += "{\"name\":";
-    append_json_string(out, status.rule.name);
-    out += ",\"metric\":";
-    append_json_string(out, status.rule.metric);
-    out += ",\"op\":";
-    append_json_string(out, alert_op_name(status.rule.op));
-    out += ",\"value\":" + json_number(status.rule.value);
+    out += "{\"name\":\"";
+    append_json_escaped(out, status.rule.name);
+    out += "\",\"metric\":\"";
+    append_json_escaped(out, status.rule.metric);
+    out += "\",\"op\":\"";
+    append_json_escaped(out, alert_op_name(status.rule.op));
+    out += "\",\"value\":" + json_number(status.rule.value);
     out += ",\"for_steps\":" + std::to_string(status.rule.for_steps);
-    out += ",\"state\":";
-    append_json_string(out, alert_state_name(status.state));
-    out += ",\"fired_count\":" + std::to_string(status.fired_count);
+    out += ",\"state\":\"";
+    append_json_escaped(out, alert_state_name(status.state));
+    out += "\",\"fired_count\":" + std::to_string(status.fired_count);
     out += ",\"resolved_count\":" + std::to_string(status.resolved_count);
     if (status.state == AlertState::kPending ||
         status.state == AlertState::kFiring) {

@@ -77,10 +77,7 @@ std::string TimeSeriesStore::to_json() const {
     sep = true;
     const auto& buf = series.buffer;
     out += "{\"name\":\"";
-    for (char c : name) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
+    append_json_escaped(out, name);
     out += "\",\"start_step\":" + std::to_string(series.start_step);
     out += ",\"stride\":" + std::to_string(buf.stride());
     out += ",\"samples_seen\":" + std::to_string(buf.samples_seen());

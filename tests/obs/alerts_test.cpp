@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "obs/alert_parse.hpp"
+#include "obs/jsonio.hpp"
 
 namespace mmog::obs {
 namespace {
@@ -95,6 +97,24 @@ TEST(AlertEngineTest, JsonListsRuleAndState) {
   EXPECT_NE(json.find("\"state\":\"firing\""), std::string::npos);
   EXPECT_NE(json.find("\"fired_count\":1"), std::string::npos);
   EXPECT_NE(json.find("\"last_value\":0.05"), std::string::npos);
+}
+
+TEST(AlertEngineTest, JsonEscapesControlBytesInNames) {
+  const std::string name = "tab\there\x01" "ctl";
+  const std::string metric = "core.\x01" "ctl\tfrac";
+  AlertEngine engine({{name, metric, AlertOp::kGt, 0.01, 0}});
+  engine.observe(0, {{metric, 0.5}});
+  const auto json = engine.to_json();
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0)
+      << json;
+  const JsonValue doc = parse_json(json);
+  const auto& alert = doc.at("alerts").as_array().at(0);
+  EXPECT_EQ(alert.at("name").as_string(), name);
+  EXPECT_EQ(alert.at("metric").as_string(), metric);
 }
 
 TEST(AlertEngineTest, DefaultRulesCoverPaperThresholdAndAvailability) {

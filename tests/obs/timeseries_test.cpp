@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
 #include <vector>
+
+#include "obs/jsonio.hpp"
 
 namespace mmog::obs {
 namespace {
@@ -85,6 +88,23 @@ TEST(TimeSeriesTest, CsvEscapesAwkwardSeriesNames) {
   EXPECT_NE(csv.find("name,step,value\n"), std::string::npos);
   EXPECT_NE(csv.find("\"metric,with \"\"quotes\"\"\",7,1"),
             std::string::npos);
+}
+
+TEST(TimeSeriesTest, JsonEscapesControlBytesInSeriesNames) {
+  // Series names embed game names (sla.availability_pct.<game>).
+  const std::string name = "sla.availability_pct.tab\tgame\x01" "ctl";
+  TimeSeriesStore store(4);
+  store.append(0, {{name, 1.0}});
+  const auto json = store.to_json();
+  EXPECT_EQ(std::count_if(json.begin(), json.end(),
+                          [](char c) {
+                            return static_cast<unsigned char>(c) < 0x20;
+                          }),
+            0)
+      << json;
+  const JsonValue doc = parse_json(json);
+  const auto& series = doc.at("series").as_array().at(0);
+  EXPECT_EQ(series.at("name").as_string(), name);
 }
 
 }  // namespace

@@ -1,8 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <atomic>
 #include <memory>
-#include <numbers>
 #include <string>
 #include <vector>
 
@@ -23,26 +22,6 @@
 
 namespace mmog::core {
 namespace {
-
-trace::WorldTrace sine_workload(std::size_t groups, std::size_t steps) {
-  trace::WorldTrace world;
-  trace::RegionalTrace region;
-  region.name = "Europe";
-  for (std::size_t g = 0; g < groups; ++g) {
-    trace::ServerGroupTrace group;
-    group.name = "G";
-    group.name += std::to_string(g);
-    group.players = util::TimeSeries(util::kSampleStepSeconds);
-    for (std::size_t t = 0; t < steps; ++t) {
-      const double phase =
-          2.0 * std::numbers::pi * static_cast<double>(t + 37 * g) / 720.0;
-      group.players.push_back(500.0 + 450.0 * (1.0 - std::cos(phase)));
-    }
-    region.groups.push_back(std::move(group));
-  }
-  world.regions.push_back(std::move(region));
-  return world;
-}
 
 constexpr std::size_t kSteps = 240;
 
@@ -68,13 +47,13 @@ SimulationConfig test_config(std::size_t threads) {
   game.name = "TestGame";
   game.load = LoadModel{UpdateModel::kQuadratic, 2000.0};
   game.latency_tolerance = dc::DistanceClass::kVeryFar;
-  game.workload = sine_workload(4, kSteps);
+  game.workload = test::sine_workload(4, kSteps);
   cfg.games.push_back(std::move(game));
   GameSpec second;
   second.name = "SecondGame";
   second.load = LoadModel{UpdateModel::kQuadratic, 2000.0};
   second.latency_tolerance = dc::DistanceClass::kVeryFar;
-  second.workload = sine_workload(3, kSteps);
+  second.workload = test::sine_workload(3, kSteps);
   cfg.games.push_back(std::move(second));
   cfg.predictor = [] {
     return std::make_unique<predict::LastValuePredictor>();

@@ -32,8 +32,6 @@ class RunDigest {
     for (const char c : text) mix(static_cast<unsigned char>(c));
     mix('\n');
   }
-  void add(const std::string& text) { add(std::string_view(text)); }
-  void add(const char* text) { add(std::string_view(text)); }
   void add(double value) {
     char buf[64];
     std::snprintf(buf, sizeof buf, "%a", value);

@@ -266,5 +266,43 @@ TEST(RestoreDigestTest, EveryOutputSurvivesRestoreUnderAllFaultKinds) {
   }
 }
 
+TEST(RestoreDigestTest, NeuralPredictorSurvivesRestoreBeforeAndAfterItsHistoryFills) {
+  // The neural predictor keeps input_window + smoother_window = 11 raw
+  // samples and left-pads shorter histories with the oldest one. Restores
+  // before the history fills (steps 3, 6 and 9), just after (12) and well
+  // after (40, 120 and 200) must all reproduce the uninterrupted digest, at
+  // one and four threads and through the serialized format.
+  const auto digest_of = [](std::size_t threads,
+                            const CheckpointState* restore_from,
+                            std::vector<CheckpointState>* captured) {
+    auto cfg = test::digest_neural_config(threads);
+    obs::Recorder rec(obs::TraceLevel::kOff);
+    rec.enable_audit();
+    cfg.recorder = &rec;
+    cfg.restore_from = restore_from;
+    if (captured != nullptr) {
+      cfg.checkpoint_every_steps = 1;
+      cfg.checkpoint_sink = [captured](const CheckpointState& st) {
+        captured->push_back(st);
+      };
+    }
+    return test::run_digest(simulate(cfg), &rec);
+  };
+  std::vector<CheckpointState> captured;
+  const auto reference = digest_of(1, nullptr, &captured);
+  for (const std::size_t step : {3u, 6u, 9u, 12u, 40u, 120u, 200u}) {
+    const CheckpointState* snapshot = nullptr;
+    for (const auto& st : captured) {
+      if (st.next_step == step) snapshot = &st;
+    }
+    ASSERT_NE(snapshot, nullptr) << "no checkpoint at step " << step;
+    const auto restored = through_format(*snapshot);
+    for (const std::size_t threads : {1u, 4u}) {
+      EXPECT_EQ(digest_of(threads, &restored, nullptr), reference)
+          << "k=" << step << " threads=" << threads;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mmog::core

@@ -27,6 +27,7 @@ enum class Variant {
   kPrioritized,
   kFaulted,
   kFaultedStopped,
+  kNeural,
 };
 
 SimulationConfig config_for(Variant variant, std::size_t threads) {
@@ -51,6 +52,8 @@ SimulationConfig config_for(Variant variant, std::size_t threads) {
     case Variant::kFaulted:
     case Variant::kFaultedStopped:
       return test::digest_faulted_config(threads);
+    case Variant::kNeural:
+      return test::digest_neural_config(threads);
   }
   return {};
 }
@@ -124,6 +127,10 @@ TEST(RunDigestTest, FaultsWithResilienceStoppedEarly) {
   const auto stopped = run(Variant::kFaultedStopped, 1).result;
   EXPECT_TRUE(stopped.interrupted);
   EXPECT_EQ(stopped.steps, 101u);
+}
+
+TEST(RunDigestTest, NeuralPredictor) {
+  expect_digest(Variant::kNeural, 0xb681c8a5ec939df2);
 }
 
 TEST(RunDigestTest, ConfigurationsCoverEveryDecisionPath) {

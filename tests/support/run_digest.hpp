@@ -188,6 +188,22 @@ inline core::SimulationConfig digest_base_config(std::size_t threads) {
   return cfg;
 }
 
+/// The base world with the paper's neural predictor instead of last-value.
+/// The model is trained on the first 120 steps of the four-group workload
+/// with a fixed seed, once per process, and shared by every run, as
+/// neural_factory_from_workload shares one model across groups.
+inline core::SimulationConfig digest_neural_config(std::size_t threads) {
+  static const auto model = [] {
+    predict::NeuralConfig nn;
+    nn.seed = 2008;
+    return core::neural_model_from_workload(sine_workload(4, kDigestSteps),
+                                            120, nn);
+  }();
+  auto cfg = digest_base_config(threads);
+  cfg.predictor = core::neural_factory_from_model(model);
+  return cfg;
+}
+
 /// The base world under all four fault kinds, with same-step re-placement,
 /// a standby reserve and priority shedding.
 inline core::SimulationConfig digest_faulted_config(std::size_t threads) {

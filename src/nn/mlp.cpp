@@ -1,5 +1,6 @@
 #include "nn/mlp.hpp"
 
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -54,13 +55,41 @@ void Mlp::forward_recording(
   }
 }
 
+std::size_t Mlp::scratch_size() const noexcept {
+  std::size_t n = 0;
+  for (const auto& l : layers_) n += l.out;
+  return n;
+}
+
+// mmog-lint: hot-begin(predict)
+std::span<const double> Mlp::forward_into(std::span<const double> input,
+                                          std::span<double> scratch) const {
+  assert(input.size() == input_size() && scratch.size() >= scratch_size());
+  std::span<const double> prev = input;
+  double* next = scratch.data();
+  for (std::size_t l = 0; l < layers_.size(); ++l) {
+    const Layer& layer = layers_[l];
+    const bool is_output = (l + 1 == layers_.size());
+    for (std::size_t o = 0; o < layer.out; ++o) {
+      double z = layer.biases[o];
+      const double* wrow = &layer.weights[o * layer.in];
+      for (std::size_t i = 0; i < layer.in; ++i) z += wrow[i] * prev[i];
+      next[o] = is_output ? z : std::tanh(z);
+    }
+    prev = {next, layer.out};
+    next += layer.out;
+  }
+  return prev;
+}
+// mmog-lint: hot-end
+
 std::vector<double> Mlp::forward(std::span<const double> input) const {
   if (input.size() != input_size()) {
     throw std::invalid_argument("Mlp::forward: wrong input size");
   }
-  std::vector<std::vector<double>> acts;
-  forward_recording(input, acts);
-  return acts.back();
+  std::vector<double> scratch(scratch_size());
+  const auto out = forward_into(input, scratch);
+  return {out.begin(), out.end()};
 }
 
 double Mlp::train_step(std::span<const double> input,

@@ -34,6 +34,17 @@ class Mlp {
   /// Total number of trainable parameters (weights + biases).
   std::size_t parameter_count() const noexcept;
 
+  /// Doubles of scratch forward_into needs: the activations of every layer
+  /// after the input.
+  std::size_t scratch_size() const noexcept;
+
+  /// Forward pass into caller scratch: `input.size()` must equal
+  /// input_size() and `scratch` hold at least scratch_size() doubles.
+  /// Returns the output layer, a view into `scratch`. Allocation-free, and
+  /// the same operations in the same order as forward().
+  std::span<const double> forward_into(std::span<const double> input,
+                                       std::span<double> scratch) const;
+
   /// Forward pass. `input.size()` must equal input_size().
   std::vector<double> forward(std::span<const double> input) const;
 

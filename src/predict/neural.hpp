@@ -1,6 +1,5 @@
 #pragma once
 
-#include <deque>
 #include <iosfwd>
 #include <memory>
 #include <span>
@@ -10,6 +9,7 @@
 #include "nn/preprocess.hpp"
 #include "nn/train.hpp"
 #include "predict/predictor.hpp"
+#include "util/ring_buffer.hpp"
 #include "util/timeseries.hpp"
 
 namespace mmog::predict {
@@ -55,8 +55,29 @@ class NeuralModel {
                          const util::TimeSeries& history);
 
   /// Predicts the next value from the most recent raw samples (at least
-  /// one; shorter-than-window inputs are left-padded with the first value).
+  /// one; inputs shorter than context() are left-padded with the first
+  /// value). Every input goes through feature() and the network through
+  /// infer(), so this is the reference NeuralPredictor matches bit for bit.
   double predict_next(std::span<const double> recent) const;
+
+  /// Raw samples one prediction reads: input_window + smoother_window.
+  std::size_t context() const noexcept {
+    return config_.input_window + config_.smoother_window;
+  }
+
+  /// Doubles of scratch feature() and infer() need.
+  std::size_t scratch_size() const noexcept;
+
+  /// One network input before normalization: the polynomial smoothing of
+  /// `window`, exactly smoother_window raw samples, oldest first.
+  double feature(std::span<const double> window,
+                 std::span<double> scratch) const;
+
+  /// The prediction from input_window features, oldest first, and the
+  /// newest raw sample. The features arrive as two contiguous pieces,
+  /// `older` then `newer`: the shape a wrapped util::RingBuffer exposes.
+  double infer(std::span<const double> older, std::span<const double> newer,
+               double last_raw, std::span<double> scratch) const;
 
   const NeuralConfig& config() const noexcept { return config_; }
   const nn::TrainResult& train_result() const noexcept { return result_; }
@@ -86,8 +107,23 @@ class NeuralModel {
 };
 
 /// Online per-zone wrapper around a shared trained NeuralModel. Before any
-/// observation it predicts 0; with fewer samples than the input window it
-/// pads, matching NeuralModel::predict_next.
+/// observation it predicts 0; with fewer samples than the model's context
+/// it pads, and every prediction is bit-identical to
+/// NeuralModel::predict_next over the retained samples.
+///
+/// The raw samples live in a ring of context() values, the checkpoint
+/// payload. A second ring caches the last input_window features.
+/// predict_next smooths one window per input, but each step's windows are
+/// the previous step's shifted by one sample: the left padding is the
+/// oldest retained sample, which only changes once the raw ring is full,
+/// and from then on no window needs padding. So observe() smooths only the
+/// window ending at the new sample, and predict() normalizes the cached
+/// features and runs the network. Neither allocates; both use scratch sized
+/// at construction.
+///
+/// predict() is const but writes this instance's scratch, so one instance
+/// must not predict on two threads at once. The simulator hands each
+/// predictor to exactly one worker.
 class NeuralPredictor final : public Predictor {
  public:
   explicit NeuralPredictor(std::shared_ptr<const NeuralModel> model);
@@ -96,12 +132,17 @@ class NeuralPredictor final : public Predictor {
   void observe(double value) override;
   double predict() const override;
   std::unique_ptr<Predictor> make_fresh() const override;
+  /// Saves the raw samples, oldest first. load_state() replays them through
+  /// observe(), which rebuilds the same feature cache.
   void save_state(std::vector<double>& out) const override;
   void load_state(std::span<const double> in) override;
 
  private:
   std::shared_ptr<const NeuralModel> model_;
-  std::deque<double> history_;
+  util::RingBuffer<double> history_;   ///< raw samples, newest last
+  util::RingBuffer<double> features_;  ///< smoothed windows, newest last
+  std::vector<double> window_;         ///< the padded window observe() smooths
+  mutable std::vector<double> scratch_;
 };
 
 }  // namespace mmog::predict

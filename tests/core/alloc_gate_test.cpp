@@ -3,13 +3,16 @@
 // the same build count the same allocations in every phase. Each cell
 // below is a 240-step provisioning run of the paper's world scaled to 1k
 // or 10k server groups, at 1 or 4 predict threads, with the allocation
-// profiler attached. The test fails when any pinned count drifts by more
-// than 25% in either direction. A large drop fails too: it usually means
-// the workload changed, not that the code got leaner. To re-pin, copy the
-// measured rows the failure prints and say why in CHANGES.md.
+// profiler attached; one more runs the paper-sized world (120 groups)
+// with the neural predictor trained on its first day. The test fails when
+// any pinned count drifts by more than 25% in either direction. A large
+// drop fails too: it usually means the workload changed, not that the code
+// got leaner. To re-pin, copy the measured rows the failure prints and say
+// why in CHANGES.md.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <map>
@@ -21,8 +24,10 @@
 
 #include "core/simulation.hpp"
 #include "obs/recorder.hpp"
+#include "predict/neural.hpp"
 #include "predict/simple.hpp"
 #include "trace/runescape_model.hpp"
+#include "util/timeseries.hpp"
 
 namespace mmog::core {
 namespace {
@@ -38,11 +43,14 @@ struct Profile {
   std::map<std::string, double> allocs;
 };
 
+enum class Model { kLastValue, kNeural };
+
 struct Cell {
   const char* label;
   std::size_t groups;
   std::size_t threads;
   Profile pinned;
+  Model model = Model::kLastValue;
 };
 
 void PrintTo(const Cell& cell, std::ostream* os) { *os << cell.label; }
@@ -61,18 +69,25 @@ const Cell kCells[] = {
     {"g10000/t4", 10000, 4,
      {512.03, {{"account", 54}, {"match", 28}, {"match_commit", 7},
                {"pad", 1}, {"predict", 48}, {"step", 212}}}},
+    {"g120/t1/neural", 120, 1,
+     {490.64, {{"account", 40}, {"match", 26}, {"match_commit", 5},
+               {"pad", 1}, {"predict", 9}, {"step", 157}}},
+     Model::kNeural},
 };
 
 /// One quadratic-load game over the paper world scaled to `groups`, with
 /// the Table III machine counts scaled to match (at 10k groups the stock
-/// ecosystem would only measure allocation starvation), last-value
-/// prediction and a profiling Recorder.
+/// ecosystem would only measure allocation starvation) and a profiling
+/// Recorder. The neural model is fitted as mmog_simulate fits it (40 eras,
+/// patience 8, six groups) on the first day of a trace one day long, whose
+/// first `steps` steps are then run.
 Profile profile_run(std::size_t groups, std::size_t threads,
-                    std::size_t steps) {
+                    std::size_t steps, Model model = Model::kLastValue) {
   trace::RuneScapeModelConfig tcfg =
       trace::RuneScapeModelConfig::paper_default();
   tcfg.scale_to_groups(groups);
-  tcfg.steps = steps;
+  const std::size_t day = util::samples_per_days(1);
+  tcfg.steps = model == Model::kNeural ? std::max(steps, day) : steps;
   tcfg.seed = 2008;
 
   SimulationConfig cfg;
@@ -91,9 +106,18 @@ Profile profile_run(std::size_t groups, std::size_t threads,
   game.workload = trace::generate(tcfg);
   cfg.games.push_back(std::move(game));
   cfg.threads = threads;
-  cfg.predictor = [] {
-    return std::make_unique<predict::LastValuePredictor>();
-  };
+  cfg.steps = steps;
+  if (model == Model::kNeural) {
+    predict::NeuralConfig ncfg;
+    ncfg.train.max_eras = 40;
+    ncfg.train.patience = 8;
+    cfg.predictor = neural_factory_from_workload(cfg.games[0].workload, day,
+                                                 ncfg, 6);
+  } else {
+    cfg.predictor = [] {
+      return std::make_unique<predict::LastValuePredictor>();
+    };
+  }
 
   obs::Recorder recorder(obs::TraceLevel::kOff);
   recorder.enable_profiler();
@@ -146,7 +170,8 @@ std::string as_row(const Cell& cell, const Profile& got) {
     row += buf;
     sep = ", ";
   }
-  return row + "}}},";
+  return row + (cell.model == Model::kNeural ? "}}, Model::kNeural},"
+                                              : "}}},");
 }
 
 class AllocGateTest : public ::testing::TestWithParam<Cell> {};
@@ -154,7 +179,8 @@ class AllocGateTest : public ::testing::TestWithParam<Cell> {};
 TEST_P(AllocGateTest, AllocationsStayWithinToleranceOfPins) {
   const Cell& cell = GetParam();
   warm_up();
-  const Profile got = profile_run(cell.groups, cell.threads, kSteps);
+  const Profile got =
+      profile_run(cell.groups, cell.threads, kSteps, cell.model);
 
   std::vector<std::string> drifts;
   char buf[160];

@@ -1,8 +1,10 @@
 #include "fault/parse.hpp"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/checked_count.hpp"
 #include "util/duration.hpp"
 
 namespace mmog::fault {
@@ -63,19 +65,24 @@ FaultSpec parse_fault_spec(std::string_view text) {
     const auto key = token.substr(0, eq);
     const auto value = token.substr(eq + 1);
     if (key == "dc") {
-      spec.dc_index = static_cast<std::size_t>(parse_number(value, "dc"));
+      spec.dc_index =
+          util::checked_count(parse_number(value, "dc"), "fault spec: dc");
       have_dc = true;
     } else if (key == "mtbf") {
       spec.mtbf_steps = parse_duration_steps(value);
     } else if (key == "mttr") {
       spec.mttr_steps = parse_duration_steps(value);
     } else if (key == "from") {
-      spec.window_from = static_cast<std::size_t>(
-          parse_duration_steps(value, /*allow_zero=*/true));
+      // Window bounds are whole steps: a fractional duration rounds down.
+      spec.window_from = util::checked_count(
+          std::trunc(parse_duration_steps(value, /*allow_zero=*/true)),
+          "fault spec: from");
     } else if (key == "to") {
-      spec.window_to = static_cast<std::size_t>(parse_duration_steps(value));
+      spec.window_to = util::checked_count(
+          std::trunc(parse_duration_steps(value)), "fault spec: to");
     } else if (key == "seed") {
-      spec.seed = static_cast<std::uint64_t>(parse_number(value, "seed"));
+      spec.seed =
+          util::checked_count(parse_number(value, "seed"), "fault spec: seed");
     } else if (key == "dist") {
       if (value == "exp") {
         spec.distribution = FaultDistribution::kExponential;

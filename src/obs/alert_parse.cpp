@@ -1,9 +1,11 @@
 #include "obs/alert_parse.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
+#include "util/checked_count.hpp"
 #include "util/duration.hpp"
 
 namespace mmog::obs {
@@ -71,8 +73,11 @@ AlertRule parse_alert_rule(std::string_view text) {
       rule.value = parse_number(value, "value");
       have_value = true;
     } else if (key == "for") {
-      rule.for_steps = static_cast<std::size_t>(util::parse_duration_steps(
-          value, /*allow_zero=*/true, "alert spec"));
+      // The debounce is whole steps: a fractional duration rounds down.
+      rule.for_steps = util::checked_count(
+          std::trunc(util::parse_duration_steps(value, /*allow_zero=*/true,
+                                                "alert spec")),
+          "alert spec: for");
     } else {
       throw std::invalid_argument("alert spec: unknown key '" +
                                   std::string(key) + "'");

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/checked_count.hpp"
 #include "util/stats.hpp"
 
 namespace mmog::predict {
@@ -122,8 +123,9 @@ void ArPredictor::load_state(std::span<const double> in) {
   if (in.empty()) {
     throw std::invalid_argument("ArPredictor: bad state size");
   }
-  const auto n = static_cast<std::size_t>(in[0]);
-  if (n > history_.capacity() || in.size() != 1 + n) {
+  const auto n = util::checked_count(in[0], "ArPredictor: state size",
+                                     history_.capacity());
+  if (in.size() != 1 + n) {
     throw std::invalid_argument("ArPredictor: bad state size");
   }
   history_.clear();

@@ -4,6 +4,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/checked_count.hpp"
+
 namespace mmog::predict {
 
 HoltPredictor::HoltPredictor(double alpha, double beta)
@@ -44,9 +46,9 @@ void HoltPredictor::load_state(std::span<const double> in) {
   if (in.size() != 3) {
     throw std::invalid_argument("HoltPredictor: bad state size");
   }
+  observed_ = util::checked_count(in[2], "HoltPredictor: observed");
   level_ = in[0];
   trend_ = in[1];
-  observed_ = static_cast<std::size_t>(in[2]);
 }
 
 HoltWintersPredictor::HoltWintersPredictor(std::size_t season_length,
@@ -130,18 +132,22 @@ void HoltWintersPredictor::load_state(std::span<const double> in) {
     throw std::invalid_argument("HoltWintersPredictor: bad state size");
   }
   const bool ready = in[3] != 0.0;
-  const auto fs_n = static_cast<std::size_t>(in[4]);
-  if (fs_n >= season_ || in.size() < 6 + fs_n) {
+  const auto observed =
+      util::checked_count(in[2], "HoltWintersPredictor: observed");
+  const auto fs_n = util::checked_count(
+      in[4], "HoltWintersPredictor: first-season size", season_ - 1);
+  if (in.size() < 6 + fs_n) {
     throw std::invalid_argument("HoltWintersPredictor: bad state size");
   }
-  const auto s_n = static_cast<std::size_t>(in[5 + fs_n]);
+  const auto s_n = util::checked_count(
+      in[5 + fs_n], "HoltWintersPredictor: season size", season_);
   if ((ready && s_n != season_) || (!ready && s_n != 0) ||
       in.size() != 6 + fs_n + s_n) {
     throw std::invalid_argument("HoltWintersPredictor: bad state size");
   }
   level_ = in[0];
   trend_ = in[1];
-  observed_ = static_cast<std::size_t>(in[2]);
+  observed_ = observed;
   seasonal_ready_ = ready;
   first_season_.assign(in.begin() + 5, in.begin() + 5 + fs_n);
   seasonal_.assign(in.begin() + 6 + fs_n, in.end());
@@ -171,9 +177,9 @@ void DriftPredictor::load_state(std::span<const double> in) {
   if (in.size() != 3) {
     throw std::invalid_argument("DriftPredictor: bad state size");
   }
+  observed_ = util::checked_count(in[2], "DriftPredictor: observed");
   first_ = in[0];
   last_ = in[1];
-  observed_ = static_cast<std::size_t>(in[2]);
 }
 
 }  // namespace mmog::predict

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "nn/serialize.hpp"
+#include "util/checked_count.hpp"
 #include "util/rng.hpp"
 
 namespace mmog::predict {
@@ -280,12 +281,11 @@ void NeuralPredictor::save_state(std::vector<double>& out) const {
 }
 
 void NeuralPredictor::load_state(std::span<const double> in) {
-  // The count comes from a checkpoint file: range-check it before the cast.
-  if (in.empty() || !(in[0] >= 0.0) ||
-      in[0] > static_cast<double>(history_.capacity())) {
+  if (in.empty()) {
     throw std::invalid_argument("NeuralPredictor: bad state size");
   }
-  const auto n = static_cast<std::size_t>(in[0]);
+  const auto n = util::checked_count(in[0], "NeuralPredictor: state size",
+                                     history_.capacity());
   if (in.size() != 1 + n) {
     throw std::invalid_argument("NeuralPredictor: bad state size");
   }

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <vector>
 
+#include "util/checked_count.hpp"
+
 namespace mmog::predict {
 
 MovingAveragePredictor::MovingAveragePredictor(std::size_t window)
@@ -37,8 +39,9 @@ void MovingAveragePredictor::load_state(std::span<const double> in) {
   if (in.size() < 2) {
     throw std::invalid_argument("MovingAveragePredictor: bad state size");
   }
-  const auto n = static_cast<std::size_t>(in[1]);
-  if (n > window_ || in.size() != 2 + n) {
+  const auto n = util::checked_count(
+      in[1], "MovingAveragePredictor: state size", window_);
+  if (in.size() != 2 + n) {
     throw std::invalid_argument("MovingAveragePredictor: bad state size");
   }
   sum_ = in[0];
@@ -75,8 +78,9 @@ void SlidingWindowMedianPredictor::load_state(std::span<const double> in) {
   if (in.empty()) {
     throw std::invalid_argument("SlidingWindowMedianPredictor: bad state");
   }
-  const auto n = static_cast<std::size_t>(in[0]);
-  if (n > window_ || in.size() != 1 + n) {
+  const auto n = util::checked_count(
+      in[0], "SlidingWindowMedianPredictor: state size", window_);
+  if (in.size() != 1 + n) {
     throw std::invalid_argument("SlidingWindowMedianPredictor: bad state");
   }
   values_.assign(in.begin() + 1, in.end());

@@ -4,6 +4,7 @@
 #include <deque>
 
 #include "predict/predictor.hpp"
+#include "util/checked_count.hpp"
 
 namespace mmog::predict {
 
@@ -54,8 +55,8 @@ class AveragePredictor final : public Predictor {
     if (in.size() != 2) {
       throw std::invalid_argument("AveragePredictor: bad state size");
     }
+    count_ = util::checked_count(in[1], "AveragePredictor: count");
     sum_ = in[0];
-    count_ = static_cast<std::size_t>(in[1]);
   }
 
  private:

@@ -241,8 +241,8 @@ WorldTrace generate(const RuneScapeModelConfig& config) {
       auto& group = region.groups[g];
       group.name = spec.name + "-" + std::to_string(g + 1);
       group.capacity = 2000;
-      group.players.reserve(config.steps);
       group.players = util::TimeSeries(util::kSampleStepSeconds);
+      group.players.reserve(config.steps);
       states[g].weight = region_rng.lognormal(0.0, 0.35);
       states[g].always_full = g < always_full_count;
       // Rare short outages (Poisson arrivals over the whole horizon).

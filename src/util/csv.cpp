@@ -1,88 +1,8 @@
 #include "util/csv.hpp"
 
-#include <fstream>
-#include <istream>
 #include <ostream>
-#include <sstream>
-#include <stdexcept>
 
 namespace mmog::util {
-
-std::size_t CsvDocument::column(std::string_view name) const {
-  for (std::size_t i = 0; i < header.size(); ++i) {
-    if (header[i] == name) return i;
-  }
-  throw std::out_of_range("CsvDocument: no column named " + std::string(name));
-}
-
-namespace {
-
-/// Splits one logical CSV record starting at stream position; handles
-/// quoted fields spanning line breaks.
-bool read_record(std::istream& in, std::vector<std::string>& fields) {
-  fields.clear();
-  std::string field;
-  bool in_quotes = false;
-  bool any = false;
-  int c;
-  while ((c = in.get()) != std::char_traits<char>::eof()) {
-    any = true;
-    const char ch = static_cast<char>(c);
-    if (in_quotes) {
-      if (ch == '"') {
-        if (in.peek() == '"') {
-          field += '"';
-          in.get();
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += ch;
-      }
-      continue;
-    }
-    if (ch == '"') {
-      if (!field.empty()) {
-        throw std::runtime_error("read_csv: quote inside unquoted field");
-      }
-      in_quotes = true;
-    } else if (ch == ',') {
-      fields.push_back(std::move(field));
-      field.clear();
-    } else if (ch == '\n') {
-      break;
-    } else if (ch == '\r') {
-      if (in.peek() == '\n') in.get();
-      break;
-    } else {
-      field += ch;
-    }
-  }
-  if (in_quotes) throw std::runtime_error("read_csv: unterminated quote");
-  if (!any) return false;
-  fields.push_back(std::move(field));
-  return true;
-}
-
-}  // namespace
-
-CsvDocument read_csv(std::istream& in) {
-  CsvDocument doc;
-  std::vector<std::string> record;
-  if (read_record(in, record)) doc.header = std::move(record);
-  while (read_record(in, record)) {
-    // Skip completely empty trailing lines.
-    if (record.size() == 1 && record[0].empty()) continue;
-    doc.rows.push_back(std::move(record));
-  }
-  return doc;
-}
-
-CsvDocument read_csv_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("read_csv_file: cannot open " + path);
-  return read_csv(in);
-}
 
 std::string csv_escape(std::string_view field) {
   if (field.find_first_of(",\"\r\n") == std::string_view::npos) {

@@ -7,25 +7,6 @@
 
 namespace mmog::util {
 
-/// A parsed CSV document: a header row plus data rows of strings.
-struct CsvDocument {
-  std::vector<std::string> header;
-  std::vector<std::vector<std::string>> rows;
-
-  /// Index of a header column; throws std::out_of_range when missing.
-  std::size_t column(std::string_view name) const;
-
-  std::size_t row_count() const noexcept { return rows.size(); }
-};
-
-/// Parses RFC-4180-style CSV from a stream: comma separators, optional
-/// double-quote quoting with "" escapes, \n or \r\n line ends. The first
-/// record is the header. Throws std::runtime_error on malformed quoting.
-CsvDocument read_csv(std::istream& in);
-
-/// Convenience: parses a file; throws std::runtime_error if unreadable.
-CsvDocument read_csv_file(const std::string& path);
-
 /// Writes one CSV record, quoting fields that need it.
 void write_csv_row(std::ostream& out, const std::vector<std::string>& row);
 

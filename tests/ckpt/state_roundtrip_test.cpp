@@ -169,6 +169,52 @@ TEST(PredictorRoundtrip, RejectsOversizedPayload) {
                std::invalid_argument);
 }
 
+TEST(PredictorRoundtrip, RejectsCountsNoSizeTCanHold) {
+  // Every count slot of a valid payload, and the bare payloads {-1}, {NaN}
+  // and {1e300}, is refused before any cast to an integer.
+  const auto series = wave(200);
+  std::vector<util::TimeSeries> histories;
+  histories.emplace_back(util::kSampleStepSeconds, series);
+  const auto ar = std::make_shared<const predict::ArModel>(
+      predict::ArModel::fit(3, histories));
+  struct Case {
+    std::unique_ptr<predict::Predictor> predictor;
+    std::vector<std::size_t> count_slots;
+  };
+  std::vector<Case> cases;
+  cases.push_back({std::make_unique<predict::ArPredictor>(ar), {0}});
+  cases.push_back({std::make_unique<predict::AveragePredictor>(), {1}});
+  cases.push_back({std::make_unique<predict::MovingAveragePredictor>(5), {1}});
+  cases.push_back(
+      {std::make_unique<predict::SlidingWindowMedianPredictor>(5), {0}});
+  cases.push_back({std::make_unique<predict::HoltPredictor>(), {2}});
+  // 10 samples into a 24-sample season: 10 first-season values, then an
+  // empty seasonal block whose count sits at 5 + 10.
+  cases.push_back(
+      {std::make_unique<predict::HoltWintersPredictor>(24), {2, 4, 15}});
+  cases.push_back({std::make_unique<predict::DriftPredictor>(), {2}});
+  for (auto& c : cases) {
+    auto& p = *c.predictor;
+    for (std::size_t t = 0; t < 10; ++t) p.observe(series[t]);
+    std::vector<double> saved;
+    p.save_state(saved);
+    ASSERT_NO_THROW(p.make_fresh()->load_state(saved)) << p.name();
+    for (const double bad : {-1.0, std::nan(""), 1e300}) {
+      EXPECT_THROW(p.make_fresh()->load_state(std::vector<double>{bad}),
+                   std::invalid_argument)
+          << p.name() << " {" << bad << "}";
+      for (const std::size_t slot : c.count_slots) {
+        auto payload = saved;
+        ASSERT_LT(slot, payload.size()) << p.name();
+        payload[slot] = bad;
+        EXPECT_THROW(p.make_fresh()->load_state(payload),
+                     std::invalid_argument)
+            << p.name() << " slot " << slot << " = " << bad;
+      }
+    }
+  }
+}
+
 TEST(NeuralModelSerialization, SaveLoadSaveByteIdentical) {
   const auto series = wave(300);
   util::TimeSeries history(util::kSampleStepSeconds);

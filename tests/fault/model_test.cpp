@@ -260,6 +260,24 @@ TEST(FaultParseTest, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_fault_spec("outage:dc=0,mtbf"), std::invalid_argument);
 }
 
+TEST(FaultParseTest, RejectsIndicesNoIntegerHolds) {
+  // Each of these used to reach an unchecked double-to-integer cast.
+  for (const char* spec :
+       {"outage:dc=1e300,mtbf=1d,mttr=1h", "outage:dc=-1,mtbf=1d,mttr=1h",
+        "outage:dc=nan,mtbf=1d,mttr=1h", "outage:dc=1.5,mtbf=1d,mttr=1h",
+        "outage:dc=0,mtbf=1d,mttr=1h,seed=-5",
+        "outage:dc=0,mtbf=1d,mttr=1h,seed=1e300",
+        "outage:dc=0,from=0,to=1e300", "outage:dc=0,from=inf,to=10"}) {
+    EXPECT_THROW(parse_fault_spec(spec), std::invalid_argument) << spec;
+  }
+  // Window bounds still round a fractional step down.
+  const auto spec = parse_fault_spec("outage:dc=2,from=90s,to=5m,seed=7");
+  EXPECT_EQ(spec.dc_index, 2u);
+  EXPECT_EQ(spec.window_from, 0u);
+  EXPECT_EQ(spec.window_to, 2u);
+  EXPECT_EQ(spec.seed, 7u);
+}
+
 TEST(FaultParseTest, ParsesSemicolonSeparatedLists) {
   EXPECT_TRUE(parse_fault_specs("").empty());
   const auto specs = parse_fault_specs(

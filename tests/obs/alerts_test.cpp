@@ -162,6 +162,16 @@ TEST(AlertParseTest, RejectsMalformedSpecs) {
                std::invalid_argument);
 }
 
+TEST(AlertParseTest, RejectsDebouncesNoIntegerHolds) {
+  for (const char* spec : {"a:metric=m,value=1,for=1e300",
+                           "a:metric=m,value=1,for=inf",
+                           "a:metric=m,value=1,for=-1"}) {
+    EXPECT_THROW(parse_alert_rule(spec), std::invalid_argument) << spec;
+  }
+  // A fractional debounce still rounds down to whole steps.
+  EXPECT_EQ(parse_alert_rule("a:metric=m,value=1,for=5m").for_steps, 2u);
+}
+
 TEST(AlertParseTest, ListSplitsOnSemicolonsAndRoundTrips) {
   const auto rules = parse_alert_rules(
       "a:metric=m,value=1;b:metric=n,op=<,value=2,for=3");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/runescape_model.hpp"
+
 namespace mmog::trace {
 namespace {
 
@@ -61,6 +63,23 @@ TEST(TraceTest, StepsReportsSampleCount) {
 TEST(TraceTest, DefaultCapacityIsRuneScapeServer) {
   ServerGroupTrace group;
   EXPECT_EQ(group.capacity, 2000u);
+}
+
+TEST(TraceTest, GenerateReservesEachSeriesOnce) {
+  // Every series is sized for the whole horizon up front, so generating
+  // never regrows one and holds no slack past config.steps.
+  auto cfg = RuneScapeModelConfig::paper_default();
+  cfg.steps = 777;
+  cfg.regions.resize(2);
+  for (auto& spec : cfg.regions) spec.server_groups = 3;
+  auto world = generate(cfg);
+  for (auto& region : world.regions) {
+    for (auto& group : region.groups) {
+      EXPECT_EQ(group.players.size(), cfg.steps);
+      EXPECT_EQ(group.players.mutable_values().capacity(), cfg.steps)
+          << group.name;
+    }
+  }
 }
 
 }  // namespace

@@ -2,94 +2,16 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace mmog::util {
 namespace {
 
-TEST(CsvTest, ParsesSimpleDocument) {
-  std::istringstream in("a,b,c\n1,2,3\n4,5,6\n");
-  const auto doc = read_csv(in);
-  ASSERT_EQ(doc.header, (std::vector<std::string>{"a", "b", "c"}));
-  ASSERT_EQ(doc.row_count(), 2u);
-  EXPECT_EQ(doc.rows[1][2], "6");
-}
-
-TEST(CsvTest, ColumnLookup) {
-  std::istringstream in("x,y\n1,2\n");
-  const auto doc = read_csv(in);
-  EXPECT_EQ(doc.column("y"), 1u);
-  EXPECT_THROW(doc.column("z"), std::out_of_range);
-}
-
-TEST(CsvTest, HandlesQuotedFields) {
-  std::istringstream in("k,v\n\"a,b\",\"say \"\"hi\"\"\"\n");
-  const auto doc = read_csv(in);
-  ASSERT_EQ(doc.row_count(), 1u);
-  EXPECT_EQ(doc.rows[0][0], "a,b");
-  EXPECT_EQ(doc.rows[0][1], "say \"hi\"");
-}
-
-TEST(CsvTest, HandlesQuotedNewlines) {
-  std::istringstream in("k\n\"line1\nline2\"\n");
-  const auto doc = read_csv(in);
-  ASSERT_EQ(doc.row_count(), 1u);
-  EXPECT_EQ(doc.rows[0][0], "line1\nline2");
-}
-
-TEST(CsvTest, HandlesCrLf) {
-  std::istringstream in("a,b\r\n1,2\r\n");
-  const auto doc = read_csv(in);
-  ASSERT_EQ(doc.row_count(), 1u);
-  EXPECT_EQ(doc.rows[0][1], "2");
-}
-
-TEST(CsvTest, SkipsTrailingEmptyLines) {
-  std::istringstream in("a\n1\n\n\n");
-  const auto doc = read_csv(in);
-  EXPECT_EQ(doc.row_count(), 1u);
-}
-
-TEST(CsvTest, ThrowsOnUnterminatedQuote) {
-  std::istringstream in("a\n\"oops\n");
-  EXPECT_THROW(read_csv(in), std::runtime_error);
-}
-
-TEST(CsvTest, ThrowsOnQuoteMidField) {
-  std::istringstream in("a\nab\"c\n");
-  EXPECT_THROW(read_csv(in), std::runtime_error);
-}
-
-TEST(CsvTest, EmptyInputYieldsEmptyDocument) {
-  std::istringstream in("");
-  const auto doc = read_csv(in);
-  EXPECT_TRUE(doc.header.empty());
-  EXPECT_EQ(doc.row_count(), 0u);
-}
-
+// The reader side of the format is trace::read_world_csv: its CsvTest cases
+// are in tests/trace/io_test.cpp.
 TEST(CsvTest, EscapeOnlyWhenNeeded) {
   EXPECT_EQ(csv_escape("plain"), "plain");
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
   EXPECT_EQ(csv_escape("q\"q"), "\"q\"\"q\"");
   EXPECT_EQ(csv_escape("nl\nnl"), "\"nl\nnl\"");
-}
-
-TEST(CsvTest, WriteReadRoundTrip) {
-  std::ostringstream out;
-  write_csv_row(out, {"name", "value"});
-  write_csv_row(out, {"comma,field", "quote\"field"});
-  write_csv_row(out, {"multi\nline", "plain"});
-  std::istringstream in(out.str());
-  const auto doc = read_csv(in);
-  ASSERT_EQ(doc.row_count(), 2u);
-  EXPECT_EQ(doc.rows[0][0], "comma,field");
-  EXPECT_EQ(doc.rows[0][1], "quote\"field");
-  EXPECT_EQ(doc.rows[1][0], "multi\nline");
-}
-
-TEST(CsvTest, MissingFileThrows) {
-  EXPECT_THROW(read_csv_file("/nonexistent/definitely_missing.csv"),
-               std::runtime_error);
 }
 
 }  // namespace

@@ -246,6 +246,17 @@ TEST(CsvTest, WriteReadRoundTrip) {
   }
 }
 
+TEST(CsvTest, MissingFileThrows) {
+  // The error names the path it could not open.
+  const std::string path = "/nonexistent/definitely_missing.csv";
+  try {
+    read_world_csv_file(path);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
+}
+
 TEST(TraceIoTest, ReadsInterleavedGroups) {
   // Rows ordered by step rather than by group revisit each group.
   const auto world = read_text(std::string(kHeader) +

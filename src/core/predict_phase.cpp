@@ -19,20 +19,27 @@ ParallelPredictor::ParallelPredictor(std::size_t threads) {
 /// raw pointer to it, so the per-step fan-out allocates nothing.
 struct ParallelPredictor::RunContext {
   std::span<const PredictSlot> slots;
+  std::size_t phase;
   obs::Recorder* rec;
 };
 
 // mmog-lint: hot-begin(predict)
 void ParallelPredictor::run_range(std::span<const PredictSlot> slots,
+                                  std::size_t first, std::size_t phase,
                                   obs::Recorder* rec) {
-  if (rec) {
-    for (const auto& slot : slots) {
-      const obs::Stopwatch watch;
-      *slot.out = slot.predictor->predict();
-      rec->observe_us("predictor.inference_us", watch.elapsed_us());
-    }
-  } else {
+  if (!rec) {
     for (const auto& slot : slots) *slot.out = slot.predictor->predict();
+    return;
+  }
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    const PredictSlot& slot = slots[i];
+    if ((first + i) % kInferenceSampleStride != phase) {
+      *slot.out = slot.predictor->predict();
+      continue;
+    }
+    const obs::Stopwatch watch;
+    *slot.out = slot.predictor->predict();
+    rec->observe_us("predictor.inference_us", watch.elapsed_us());
   }
 }
 
@@ -47,7 +54,7 @@ void ParallelPredictor::shard_entry(void* ctx, std::size_t shard,
   const std::size_t end = std::min(run.slots.size(), begin + chunk);
   if (begin >= end) return;
   const obs::Stopwatch watch;
-  run_range(run.slots.subspan(begin, end - begin), run.rec);
+  run_range(run.slots.subspan(begin, end - begin), begin, run.phase, run.rec);
   if (run.rec) {
     run.rec->observe_us("phase.predict_shard_us", watch.elapsed_us());
   }
@@ -55,12 +62,13 @@ void ParallelPredictor::shard_entry(void* ctx, std::size_t shard,
 
 void ParallelPredictor::run(std::span<const PredictSlot> slots,
                             obs::Recorder* rec) {
+  const std::size_t phase = runs_++ % kInferenceSampleStride;
   if (!team_ || slots.size() <= 1) {
     // threads == 1: the historical serial code path, untouched by any team.
-    run_range(slots, rec);
+    run_range(slots, 0, phase, rec);
     return;
   }
-  RunContext ctx{slots, rec};
+  RunContext ctx{slots, phase, rec};
   // The join inside run() is the determinism barrier: every slot is written
   // before the caller reads any prediction; a worker's exception is
   // rethrown here.

@@ -44,19 +44,30 @@ class ParallelPredictor {
   /// The resolved worker count (>= 1).
   std::size_t threads() const noexcept { return threads_; }
 
-  /// Predicts every slot. With a recorder, each prediction is timed into
-  /// the "predictor.inference_us" histogram and each shard's wall time into
-  /// "phase.predict_shard_us" (parallel path only). Exceptions thrown by a
-  /// predictor are rethrown on the calling thread (first one wins).
+  /// One inference in this many is timed when a recorder is attached.
+  static constexpr std::size_t kInferenceSampleStride = 64;
+
+  /// Predicts every slot. With a recorder, one prediction in
+  /// kInferenceSampleStride is timed into the "predictor.inference_us"
+  /// histogram: on the c-th call, the slots whose index in `slots` is
+  /// congruent to c modulo the stride, so every slot is timed once per
+  /// kInferenceSampleStride consecutive calls at any thread count. Timing
+  /// every inference cost more than a fast predictor's inference. Each
+  /// shard's wall time goes into "phase.predict_shard_us" (parallel path
+  /// only). Exceptions thrown by a predictor are rethrown on the calling
+  /// thread (first one wins).
   void run(std::span<const PredictSlot> slots, obs::Recorder* rec);
 
  private:
   struct RunContext;
   static void shard_entry(void* ctx, std::size_t shard, std::size_t shards);
-  static void run_range(std::span<const PredictSlot> slots,
-                        obs::Recorder* rec);
+  /// Predicts `slots`, which start at index `first` of the whole list,
+  /// timing those whose whole-list index is congruent to `phase`.
+  static void run_range(std::span<const PredictSlot> slots, std::size_t first,
+                        std::size_t phase, obs::Recorder* rec);
 
   std::size_t threads_ = 1;
+  std::size_t runs_ = 0;  ///< run() calls so far: picks the timed slots
   std::unique_ptr<util::ShardTeam> team_;
 };
 

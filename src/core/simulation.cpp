@@ -137,7 +137,8 @@ struct SimState {
       rec->gauge("sim.predict_threads",
                  static_cast<double>(predict_runner.threads()));
     }
-    // Resource profiler: throughput and RSS sampled once per step.
+    // Resource profiler: throughput and RSS sampled every
+    // kPublishEverySteps steps and on the last one (keep_books).
     // Observational only — attached or not, outcomes are byte-identical.
     if (profiler) profiler->begin_run(total_groups);
     release_order.reserve(64);
@@ -776,12 +777,26 @@ struct SimState {
     }
     inject_faults(t);
     if (resilient && dynamic) replace(t);
-    // "account" stays open to the end of the step: it also times live
-    // sampling, the bookkeeping and checkpoint capture.
-    const obs::PhaseScope account_scope(rec, "account", t);
     const StepMetrics step_metrics = account(t);
-    sample_live(t, step_metrics);
-    return keep_books(t);
+    // Read once: the profiler, the checkpoint and the stop act on the same
+    // answer.
+    const bool stop_requested =
+        config.stop_flag != nullptr &&
+        config.stop_flag->load(std::memory_order_relaxed);
+    keep_books(t, step_metrics, stop_requested || t + 1 == steps);
+    // With step t complete, the clean boundary for checkpoint capture and
+    // cooperative shutdown.
+    if (config.checkpoint_sink &&
+        ((config.checkpoint_every_steps > 0 &&
+          (t + 1) % config.checkpoint_every_steps == 0) ||
+         stop_requested)) {
+      const obs::PhaseScope scope(rec, "checkpoint", t);
+      capture_checkpoint(t + 1);
+    }
+    if (!stop_requested) return true;
+    completed = t + 1;
+    result.interrupted = true;
+    return false;
   }
 
   /// Apply this step's fault state: capacity fractions on every ledger,
@@ -954,6 +969,7 @@ struct SimState {
     // mmog-lint: hot-begin(fault-inject)
     std::fill(lost_capacity.begin(), lost_capacity.end(), 0);
     if (!have_faults) return;
+    const obs::PhaseScope scope(rec, "fault_inject", t);
     for (std::size_t u = 0; u < units.size(); ++u) {
       DemandUnit& unit = units[u];
       // Newest-first: grab prev before the erase unlinks the slot.
@@ -1016,9 +1032,10 @@ struct SimState {
   }
 
   /// Phase 4 — metric accounting: the actual load materializes; score the
-  /// step (globally and per game).
+  /// step (globally and per game) and feed each predictor its observation.
   StepMetrics account(std::size_t t) {
     // mmog-lint: hot-begin(account)
+    const obs::PhaseScope scope(rec, "account", t);
     StepMetrics step_metrics;
     step_metrics.machines = total_groups;
     std::fill(per_game.begin(), per_game.end(), StepMetrics{});
@@ -1125,10 +1142,13 @@ struct SimState {
     rec->sample_step(t, live_samples);
   }
 
-  /// Bookkeeping: per-DC usage and cost, the audit flush and the profiler
-  /// sample; then, with step t complete, the clean boundary for checkpoint
-  /// capture and cooperative shutdown. Returns false when the run stops.
-  bool keep_books(std::size_t t) {
+  /// Bookkeeping: live sampling, per-DC usage and cost, the audit flush
+  /// and the profiler sample. `last` marks the run's last step: the
+  /// horizon or a cooperative stop.
+  void keep_books(std::size_t t, const StepMetrics& step_metrics,
+                  bool last) {
+    const obs::PhaseScope scope(rec, "books", t);
+    sample_live(t, step_metrics);
     for (std::size_t d = 0; d < ledgers.size(); ++d) {
       const double cpu = ledgers[d].in_use().cpu();
       dc_cpu_sum[d] += cpu;
@@ -1148,23 +1168,11 @@ struct SimState {
       audit->append_batch(audit_batch);
       for (auto& list : audit_backfill) list.clear();
     }
-    if (profiler) {
-      profiler->note_step(rec->registry(),
-                          static_cast<std::uint64_t>(t + 1 - start_step));
+    const auto done = static_cast<std::uint64_t>(t + 1 - start_step);
+    if (profiler &&
+        (done % obs::ResourceProfiler::kPublishEverySteps == 0 || last)) {
+      profiler->note_step(rec->registry(), done);
     }
-    const bool stop_requested =
-        config.stop_flag != nullptr &&
-        config.stop_flag->load(std::memory_order_relaxed);
-    if (config.checkpoint_sink &&
-        ((config.checkpoint_every_steps > 0 &&
-          (t + 1) % config.checkpoint_every_steps == 0) ||
-         stop_requested)) {
-      capture_checkpoint(t + 1);
-    }
-    if (!stop_requested) return true;
-    completed = t + 1;
-    result.interrupted = true;
-    return false;
   }
 
   SimulationResult finish() {

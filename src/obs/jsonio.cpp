@@ -138,7 +138,7 @@ class Parser {
   explicit Parser(std::string_view text) : s_(text) {}
 
   JsonValue parse_document() {
-    JsonValue v = parse_value();
+    JsonValue v = parse_value(0);
     skip_ws();
     if (pos_ != s_.size()) fail("trailing garbage");
     return v;
@@ -171,11 +171,12 @@ class Parser {
     return true;
   }
 
-  JsonValue parse_value() {
+  /// `depth`: the containers enclosing this value.
+  JsonValue parse_value(std::size_t depth) {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return JsonValue::make_string(parse_string());
       case 't':
         if (consume("true")) return JsonValue::make_bool(true);
@@ -190,7 +191,16 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  /// `depth` counts the containers open once this one is: each level
+  /// recurses, so the cap keeps hostile input off the end of the stack.
+  void check_depth(std::size_t depth) const {
+    if (depth > kMaxJsonDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
+  }
+
+  JsonValue parse_object(std::size_t depth) {
+    check_depth(depth);
     expect('{');
     std::vector<std::pair<std::string, JsonValue>> members;
     skip_ws();
@@ -202,7 +212,7 @@ class Parser {
       skip_ws();
       std::string key = parse_string();
       expect(':');
-      members.emplace_back(std::move(key), parse_value());
+      members.emplace_back(std::move(key), parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -214,7 +224,8 @@ class Parser {
     return JsonValue::make_object(std::move(members));
   }
 
-  JsonValue parse_array() {
+  JsonValue parse_array(std::size_t depth) {
+    check_depth(depth);
     expect('[');
     std::vector<JsonValue> items;
     skip_ws();
@@ -223,7 +234,7 @@ class Parser {
       return JsonValue::make_array(std::move(items));
     }
     for (;;) {
-      items.push_back(parse_value());
+      items.push_back(parse_value(depth));
       skip_ws();
       if (peek() == ',') {
         ++pos_;

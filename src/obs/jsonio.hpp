@@ -70,10 +70,15 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
+/// How many arrays and objects parse_json lets nest. The repo's records
+/// nest a few levels; the parser recurses once per level, so deeper input
+/// is rejected instead of overflowing the stack.
+inline constexpr std::size_t kMaxJsonDepth = 1000;
+
 /// Parses one JSON document (object, array, or scalar). Strict enough for
 /// the repo's own writers plus hand-edited fixtures: throws
-/// std::invalid_argument with an offset on malformed input or trailing
-/// garbage.
+/// std::invalid_argument with an offset on malformed input, trailing
+/// garbage or nesting deeper than kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 }  // namespace mmog::obs

@@ -19,11 +19,11 @@ class Registry;
 ///     `phase.<name>_allocs` / `phase.<name>_alloc_bytes` histograms next
 ///     to the existing `phase.<name>_us` ones;
 ///   * tracks run throughput and process RSS: core::simulate calls
-///     begin_run() before its step loop and note_step() once per completed
-///     step, which updates the `sim.steps_per_sec`,
-///     `sim.group_steps_per_sec`, `proc.current_rss_kb` and
-///     `proc.peak_rss_kb` gauges and mirrors them into lock-free atomics
-///     the telemetry server reads for /healthz.
+///     begin_run() before its step loop and note_step() every
+///     kPublishEverySteps completed steps and on the run's last step,
+///     which updates the `sim.steps_per_sec`, `sim.group_steps_per_sec`,
+///     `proc.current_rss_kb` and `proc.peak_rss_kb` gauges and mirrors
+///     them into lock-free atomics the telemetry server reads for /healthz.
 ///
 /// Everything recorded is observational (gauges and histograms, never
 /// counters): RunReport outcome sections include every counter and must be
@@ -31,6 +31,10 @@ class Registry;
 /// tests enforce exactly that.
 class ResourceProfiler {
  public:
+  /// note_step() reads /proc/self/statm and calls getrusage, which costs
+  /// more than a fast step; the simulator publishes this often.
+  static constexpr std::uint64_t kPublishEverySteps = 64;
+
   ResourceProfiler() = default;
 
   /// Marks the start of a simulation run with `total_groups` server
@@ -40,7 +44,8 @@ class ResourceProfiler {
   void begin_run(std::uint64_t total_groups) noexcept;
 
   /// Publishes throughput and RSS after `steps_done` completed steps.
-  /// Called on the simulation thread once per step.
+  /// Called on the simulation thread every kPublishEverySteps steps and
+  /// on the run's last step, so the gauges end on the final value.
   void note_step(Registry& registry, std::uint64_t steps_done);
 
   double steps_per_sec() const noexcept {

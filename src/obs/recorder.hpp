@@ -265,12 +265,14 @@ class PhaseScope {
       profiled_ = true;
       alloc_start_ = util::alloccount::totals();
     }
-    watch_.reset();
+    start_ = std::chrono::steady_clock::now();
   }
 
   ~PhaseScope() {
     if (!recorder_) return;
-    const double us = watch_.elapsed_us();
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - start_)
+                          .count();
     // Histogram keys are composed on the stack: a nested scope's teardown
     // runs inside the enclosing scope's allocation window, so heap-built
     // key strings here would be charged to the parent phase's
@@ -325,7 +327,9 @@ class PhaseScope {
   double span_start_us_ = 0.0;
   bool profiled_ = false;
   util::alloccount::Totals alloc_start_;
-  Stopwatch watch_;
+  /// Set only with a recorder (a Stopwatch member would read the clock
+  /// even for a null one).
+  std::chrono::steady_clock::time_point start_{};
 };
 
 }  // namespace mmog::obs

@@ -16,6 +16,17 @@
 #include "util/csv.hpp"
 
 namespace mmog::trace {
+namespace {
+
+/// The shortest text that reads back as exactly `value`: a whole player
+/// count prints without a fraction.
+std::string shortest_double(double value) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof buf, value);
+  return std::string(buf, res.ptr);
+}
+
+}  // namespace
 
 void write_world_csv(std::ostream& out, const WorldTrace& world) {
   util::write_csv_row(out, {"region", "utc_offset_hours", "group", "capacity",
@@ -26,7 +37,7 @@ void write_world_csv(std::ostream& out, const WorldTrace& world) {
         util::write_csv_row(
             out, {region.name, std::to_string(region.utc_offset_hours),
                   group.name, std::to_string(group.capacity),
-                  std::to_string(t), std::to_string(group.players[t])});
+                  std::to_string(t), shortest_double(group.players[t])});
       }
     }
   }

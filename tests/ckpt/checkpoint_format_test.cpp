@@ -8,6 +8,7 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "support/test_dir.hpp"
+#include "util/rng.hpp"
 
 // The on-disk checkpoint contract: byte-stable serialization, validation
 // that rejects every way a file can be damaged (never a partial load), the
@@ -290,6 +291,77 @@ TEST(CheckpointFormat, RejectsIntegersItCannotHold) {
             SIZE_MAX);
 }
 
+/// One seeded mutation of `text`: a byte flip, a deletion, a duplicated
+/// line, a digit or sign swap, or a run of '['.
+void mutate(std::string& text, util::Rng& rng) {
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const std::size_t at = pick(text.size());
+  // The first digit at or after `at` (a digit always exists: the counts).
+  const auto digit_from = [&](std::size_t from) {
+    const std::size_t d = text.find_first_of("0123456789", from);
+    return d == std::string::npos ? text.find_first_of("0123456789") : d;
+  };
+  switch (rng.uniform_int(0, 5)) {
+    case 0:
+      text[at] = static_cast<char>(rng.uniform_int(0, 255));
+      break;
+    case 1:
+      text.erase(at, 1 + pick(8));
+      break;
+    case 2: {
+      const std::size_t begin = text.rfind('\n', at) + 1;  // npos + 1 == 0
+      const std::size_t end = text.find('\n', at);
+      const std::string line = text.substr(begin, end - begin + 1);
+      text.insert(begin, line);
+      break;
+    }
+    case 3: {
+      const std::size_t d = digit_from(at);
+      text[d] = static_cast<char>('0' + pick(10));
+      break;
+    }
+    case 4: {
+      const std::size_t d = digit_from(at);
+      if (d > 0 && text[d - 1] == '-') {
+        text.erase(d - 1, 1);
+      } else {
+        text.insert(d, 1, '-');
+      }
+      break;
+    }
+    default:
+      text.insert(at, std::size_t{1} << pick(18), '[');
+      break;
+  }
+}
+
+TEST(CheckpointFormat, MutatedFilesParseOrThrowCheckpointError) {
+  // Re-footered, so every mutant passes the checksum and reaches the
+  // parser: each must load or throw CheckpointError, never another
+  // exception or a crash.
+  const std::string body = strip_footer(ckpt::to_jsonl(sample_file()));
+  util::Rng rng(2028);
+  std::size_t loaded = 0;
+  std::size_t rejected = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string text = body;
+    mutate(text, rng);
+    try {
+      (void)ckpt::parse_jsonl(refooter(text));
+      ++loaded;
+    } catch (const ckpt::CheckpointError&) {
+      ++rejected;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "mutant " << i << " threw " << e.what();
+    }
+  }
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
 TEST(CheckpointWrite, KeepsPreviousGeneration) {
   const test::TestDir dir;
   const auto path = (dir / "run.ckpt").string();
@@ -341,6 +413,25 @@ TEST(CheckpointLoad, FallsBackToPrevWhenNewestHoldsAWrongType) {
   EXPECT_EQ(loaded.file.state.next_step, 42u);
   ASSERT_EQ(loaded.notes.size(), 1u);
   EXPECT_NE(loaded.notes[0].find(path), std::string::npos);
+}
+
+TEST(CheckpointLoad, FallsBackToPrevWhenNewestNestsTooDeep) {
+  // The checksum matches, so only the JSON parser stands between 100,000
+  // nested arrays and the end of the stack.
+  const test::TestDir dir;
+  const auto path = (dir / "run.ckpt").string();
+
+  write_file(path + ".prev", ckpt::to_jsonl(sample_file()));
+  write_file(path, tampered("\"in_use\":[2.5,",
+                            "\"in_use\":[" + std::string(100000, '[') +
+                                "2.5,"));
+
+  const auto loaded = ckpt::load_newest_valid(path);
+  EXPECT_EQ(loaded.path, path + ".prev");
+  EXPECT_EQ(loaded.file.state.next_step, 42u);
+  ASSERT_EQ(loaded.notes.size(), 1u);
+  EXPECT_NE(loaded.notes[0].find("nesting"), std::string::npos)
+      << loaded.notes[0];
 }
 
 TEST(CheckpointLoad, ThrowsWhenNoCandidateValid) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <map>
 #include <memory>
@@ -8,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
+#include "core/run_report.hpp"
 #include "core/simulation.hpp"
 #include "obs/recorder.hpp"
 #include "predict/simple.hpp"
@@ -72,8 +75,8 @@ TEST(ObsIntegrationTest, DynamicRunEmitsGoldenSpanSequencePerStep) {
   // exactly the phase spans followed by the enclosing step span; the
   // match_commit span (the serial commit inside the match phase) closes
   // before its parent match span does.
-  const std::vector<std::string> golden = {"predict", "pad", "match_commit",
-                                           "match", "account", "step"};
+  const std::vector<std::string> golden = {
+      "predict", "pad", "match_commit", "match", "account", "books", "step"};
   std::map<std::uint64_t, std::vector<std::string>> spans_by_step;
   for (const auto& e : rec.tracer().events()) {
     if (e.kind == obs::TraceKind::kSpan) {
@@ -107,15 +110,74 @@ TEST(ObsIntegrationTest, CountersMatchWorkloadShape) {
   EXPECT_DOUBLE_EQ(snap.gauges.at("sim.groups"),
                    static_cast<double>(kGroups));
   EXPECT_DOUBLE_EQ(snap.gauges.at("sim.datacenters"), 1.0);
-  // Phase histograms carry one sample per step; inference timing one per
-  // prediction.
+  // Phase histograms carry one sample per step. Inference timing samples
+  // slot (step mod 64) on each step: with 3 groups and 24 steps, steps 0-2
+  // time one prediction each.
   for (const char* phase : {"phase.predict_us", "phase.pad_us",
                             "phase.match_us", "phase.match_commit_us",
-                            "phase.account_us", "phase.step_us"}) {
+                            "phase.account_us", "phase.books_us",
+                            "phase.step_us"}) {
     EXPECT_EQ(snap.histograms.at(phase).count, kSteps) << phase;
   }
-  EXPECT_EQ(snap.histograms.at("predictor.inference_us").count,
-            kSteps * kGroups);
+  EXPECT_EQ(snap.histograms.at("predictor.inference_us").count, kGroups);
+}
+
+TEST(ObsIntegrationTest, ShortRunStillPublishesProfilerGauges) {
+  // The profiler publishes every 64 steps and on the last one, so a run
+  // shorter than that, or one a stop ends after its first step, still
+  // ends with every gauge set, and the report takes its steps/s from the
+  // final publish.
+  const std::atomic<bool> stop{true};
+  for (const bool stopped : {false, true}) {
+    obs::Recorder rec(obs::TraceLevel::kOff);
+    rec.enable_profiler();
+    auto cfg = base_config(3, stopped ? 200 : 24);
+    if (stopped) cfg.stop_flag = &stop;
+    cfg.recorder = &rec;
+    const auto result = simulate(cfg);
+    ASSERT_EQ(result.steps, stopped ? 1u : 24u);
+    const auto snap = rec.snapshot();
+    for (const char* gauge :
+         {"sim.steps_per_sec", "sim.group_steps_per_sec",
+          "proc.current_rss_kb", "proc.peak_rss_kb"}) {
+      ASSERT_TRUE(snap.gauges.contains(gauge)) << gauge;
+      EXPECT_GT(snap.gauges.at(gauge), 0.0) << gauge;
+    }
+    EXPECT_EQ(rec.profiler()->steps_per_sec(),
+              snap.gauges.at("sim.steps_per_sec"));
+    const auto report = make_run_report(cfg, result, "test", "", 1.0);
+    EXPECT_EQ(report.steps_per_sec, snap.gauges.at("sim.steps_per_sec"));
+  }
+}
+
+TEST(ObsIntegrationTest, FaultedCheckpointingRunTimesFaultsAndCheckpoints) {
+  // fault_inject spans every step of a run with a fault schedule, and
+  // checkpoint spans exactly the capture steps; books spans every step.
+  constexpr std::size_t kSteps = 40;
+  obs::Recorder rec(obs::TraceLevel::kSteps);
+  auto cfg = base_config(2, kSteps);
+  fault::FaultSpec outage;
+  outage.dc_index = 0;
+  outage.window_from = 10;
+  outage.window_to = 14;
+  cfg.faults.push_back(outage);
+  std::size_t captured = 0;
+  cfg.checkpoint_every_steps = 10;
+  cfg.checkpoint_sink = [&](const CheckpointState&) { ++captured; };
+  cfg.recorder = &rec;
+  simulate(cfg);
+
+  std::map<std::string, std::vector<std::uint64_t>> steps_by_span;
+  for (const auto& e : rec.tracer().events()) {
+    if (e.kind == obs::TraceKind::kSpan) {
+      steps_by_span[e.name].push_back(e.step);
+    }
+  }
+  EXPECT_EQ(steps_by_span["fault_inject"].size(), kSteps);
+  EXPECT_EQ(steps_by_span["books"].size(), kSteps);
+  EXPECT_EQ(captured, 4u);
+  EXPECT_EQ(steps_by_span["checkpoint"],
+            (std::vector<std::uint64_t>{9, 19, 29, 39}));
 }
 
 TEST(ObsIntegrationTest, DetailLevelAddsPerUnitInstants) {

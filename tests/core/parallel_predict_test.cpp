@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -125,7 +126,8 @@ TEST(ParallelPredictTest, RecorderTimesEveryInference) {
   const auto snap = rec.snapshot();
   const auto it = snap.histograms.find("predictor.inference_us");
   ASSERT_NE(it, snap.histograms.end());
-  EXPECT_EQ(it->second.count, 25u);
+  // The first call times slot 0 alone (1 in 64 is sampled).
+  EXPECT_EQ(it->second.count, 1u);
   // The parallel path also times each shard's wall clock.
   EXPECT_NE(snap.histograms.find("phase.predict_shard_us"),
             snap.histograms.end());
@@ -139,9 +141,86 @@ TEST(ParallelPredictTest, SerialRecorderPathSkipsShardTimings) {
   const auto snap = rec.snapshot();
   const auto it = snap.histograms.find("predictor.inference_us");
   ASSERT_NE(it, snap.histograms.end());
-  EXPECT_EQ(it->second.count, 25u);
+  EXPECT_EQ(it->second.count, 1u);
   EXPECT_EQ(snap.histograms.find("phase.predict_shard_us"),
             snap.histograms.end());
+}
+
+std::uint64_t timed(const obs::Recorder& rec) {
+  const auto snap = rec.snapshot();
+  const auto it = snap.histograms.find("predictor.inference_us");
+  return it == snap.histograms.end() ? 0 : it->second.count;
+}
+
+/// Notes, on each predict(), how many inferences the recorder has timed so
+/// far. On one thread, slot i was timed iff the next probe (or the count
+/// after the run) sees one more than slot i did.
+class CountProbe final : public predict::Predictor {
+ public:
+  CountProbe(const obs::Recorder* rec, std::vector<std::uint64_t>* seen)
+      : rec_(rec), seen_(seen) {}
+  std::string_view name() const noexcept override { return "CountProbe"; }
+  void observe(double) override {}
+  double predict() const override {
+    seen_->push_back(timed(*rec_));
+    return 0.0;
+  }
+  std::unique_ptr<predict::Predictor> make_fresh() const override {
+    return std::make_unique<CountProbe>(rec_, seen_);
+  }
+
+ private:
+  const obs::Recorder* rec_;
+  std::vector<std::uint64_t>* seen_;
+};
+
+TEST(ParallelPredictTest, SampledTimingCoversEverySlotOncePerStride) {
+  constexpr std::size_t kStride = ParallelPredictor::kInferenceSampleStride;
+  // 257 slots: neither the stride nor the four-shard chunk (65) divides
+  // it, so a shard that sampled by its own local index would time a
+  // different number of slots on some calls.
+  constexpr std::size_t kSlots = 257;
+  for (const std::size_t threads : {1u, 4u}) {
+    Fixture f(kSlots);
+    obs::Recorder rec(obs::TraceLevel::kOff);
+    ParallelPredictor runner(threads);
+    std::uint64_t before = 0;
+    for (std::size_t c = 0; c < kStride; ++c) {
+      runner.run(f.slots, &rec);
+      // Call c times the slots whose index is c modulo the stride.
+      const std::uint64_t want = (kSlots - c + kStride - 1) / kStride;
+      const std::uint64_t now = timed(rec);
+      EXPECT_EQ(now - before, want) << "threads=" << threads << " call " << c;
+      before = now;
+    }
+    EXPECT_EQ(before, kSlots) << "threads=" << threads;
+  }
+
+  // Which slots: on one thread, each slot is timed exactly once.
+  constexpr std::size_t kProbes = 150;
+  obs::Recorder rec(obs::TraceLevel::kOff);
+  std::vector<std::uint64_t> seen;
+  std::vector<std::unique_ptr<predict::Predictor>> probes;
+  std::vector<double> outs(kProbes);
+  std::vector<PredictSlot> slots;
+  for (std::size_t i = 0; i < kProbes; ++i) {
+    probes.push_back(std::make_unique<CountProbe>(&rec, &seen));
+    slots.push_back({probes.back().get(), &outs[i]});
+  }
+  ParallelPredictor runner(1);
+  std::vector<int> times_timed(kProbes, 0);
+  for (std::size_t c = 0; c < kStride; ++c) {
+    seen.clear();
+    runner.run(slots, &rec);
+    seen.push_back(timed(rec));
+    for (std::size_t i = 0; i < kProbes; ++i) {
+      times_timed[i] += static_cast<int>(seen[i + 1] - seen[i]);
+      if (seen[i + 1] != seen[i]) {
+        EXPECT_EQ(i % kStride, c) << "slot " << i;
+      }
+    }
+  }
+  EXPECT_EQ(times_timed, std::vector<int>(kProbes, 1));
 }
 
 TEST(ParallelPredictTest, RunnerIsReusableAcrossSteps) {

@@ -114,6 +114,22 @@ TEST(JsonParseTest, DeeplyNestedObjectsParse) {
   EXPECT_TRUE(v->as_bool());
 }
 
+TEST(JsonParseTest, NestingBeyondTheCapThrows) {
+  // 100,000 levels used to recurse off the end of the stack (SIGSEGV).
+  EXPECT_THROW(parse_json(std::string(100000, '[')), std::invalid_argument);
+  std::string objects;
+  for (int i = 0; i < 100000; ++i) objects += "{\"k\":";
+  EXPECT_THROW(parse_json(objects), std::invalid_argument);
+  // The cap itself: kMaxJsonDepth levels parse, one more does not.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth)));
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1)), std::invalid_argument);
+  EXPECT_THROW(parse_json("{\"a\":" + nested(kMaxJsonDepth) + "}"),
+               std::invalid_argument);
+}
+
 TEST(JsonParseTest, NumbersParseViaFromChars) {
   EXPECT_DOUBLE_EQ(parse_json("1e308").as_number(), 1e308);
   EXPECT_DOUBLE_EQ(parse_json("5e-324").as_number(), 5e-324);

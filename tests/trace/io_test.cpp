@@ -324,6 +324,28 @@ TEST(TraceIoTest, PlayersMatchStodBitForBit) {
   EXPECT_EQ(rows, 1000u);
 }
 
+TEST(TraceIoTest, FractionalPlayersRoundTripBitForBit) {
+  // Written in the shortest round-trip form: no value loses digits, and
+  // whole counts carry no fraction.
+  const std::vector<double> values = {
+      0.1,    2.5e-7, 1e21, 1234.5678901234567, 5e-324,
+      1e-300, 0.0,    7.0,  std::nextafter(1.0, 2.0)};
+  WorldTrace world = tiny_world();
+  world.regions[0].groups.resize(1);
+  world.regions[0].groups[0].players =
+      util::TimeSeries(util::kSampleStepSeconds, values);
+  const std::string csv = to_csv(world);
+  const auto loaded = series(read_text(csv), 0, 0);
+  ASSERT_EQ(loaded.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded[i]),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << values[i];
+  }
+  EXPECT_NE(csv.find(",6,0\n"), std::string::npos) << csv;
+  EXPECT_NE(csv.find(",7,7\n"), std::string::npos) << csv;
+}
+
 /// A one-row CSV whose cells are all valid except the one given.
 std::string row_with(const std::string& offset, const std::string& capacity,
                      const std::string& step, const std::string& players) {
